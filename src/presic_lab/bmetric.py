@@ -44,6 +44,9 @@ class Box:
 
     lo: np.ndarray
     hi: np.ndarray
+    # the bounds widened by the tolerance rule with R = lo and R = hi
+    lo_tol: np.ndarray = field(init=False, repr=False, compare=False)
+    hi_tol: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lo = np.atleast_1d(np.asarray(self.lo, dtype=float))
@@ -54,14 +57,17 @@ class Box:
             raise UsageError("box requires lo[i] <= hi[i]")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "lo_tol", lo - TOL_REL * (1.0 + np.abs(lo)))
+        object.__setattr__(self, "hi_tol", hi + TOL_REL * (1.0 + np.abs(hi)))
 
     @property
     def dimension(self):
         return self.lo.size
 
     def contains(self, points):
+        """Per point of (N, m) `points`: inside the box up to the tolerance rule."""
         pts = np.atleast_2d(points)
-        return np.all((pts >= self.lo - TOL_REL) & (pts <= self.hi + TOL_REL), axis=-1)
+        return ((pts >= self.lo_tol) & (pts <= self.hi_tol)).all(axis=-1)
 
     def sample(self, rng, count):
         """Draw `count` uniform points, shape (count, m)."""
@@ -94,9 +100,6 @@ class AxiomReport:
         return not self.violations
 
 
-_KINDS = ("euclidean", "power", "lp_truncated", "squared_euclidean", "custom_dsl")
-
-
 @dataclass(frozen=True)
 class BMetricSpace:
     """A distance on a box with its declared relaxation constant b >= 1."""
@@ -108,7 +111,7 @@ class BMetricSpace:
     expr: object = None  # compiled dsl.Expr for custom_dsl
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in KERNELS:
             raise UsageError(f"unknown metric kind {self.kind!r}")
         if self.b < 1.0:
             raise UsageError("relaxation constant b must be >= 1")
@@ -128,26 +131,41 @@ class BMetricSpace:
         ys = np.atleast_2d(ys)
         if xs.shape[-1] != self.dimension or ys.shape[-1] != self.dimension:
             raise UsageError("dimension mismatch in distance")
-        diff = np.abs(xs - ys)
-        if self.kind == "euclidean":
-            return np.sqrt(np.sum(diff * diff, axis=-1))
-        if self.kind == "squared_euclidean":
-            return np.sum(diff * diff, axis=-1)
-        if self.kind == "power":
-            base = np.sqrt(np.sum(diff * diff, axis=-1))
-            return base ** self.p
-        if self.kind == "lp_truncated":
-            s = np.sum(diff ** self.p, axis=-1)
-            # 0^(1/p) handled explicitly so d(x,x) is exactly 0
-            return np.where(s == 0.0, 0.0, s ** (1.0 / self.p))
-        if self.kind == "custom_dsl":
-            env = {}
-            for i in range(self.dimension):
-                env[f"u{i + 1}"] = xs[..., i]
-                env[f"v{i + 1}"] = ys[..., i]
-            out = np.asarray(dsl.evaluate(self.expr, env), dtype=float)
-            return np.broadcast_to(out, xs.shape[:-1]).copy() if out.ndim == 0 else out
-        raise AssertionError(self.kind)
+        return KERNELS[self.kind](self, xs, ys)
+
+
+def _squared_euclidean(space, xs, ys):
+    diff = xs - ys  # d*d is exact for either sign, so no abs
+    return (diff * diff).sum(axis=-1)
+
+
+def _euclidean(space, xs, ys):
+    return np.sqrt(_squared_euclidean(space, xs, ys))
+
+
+def _power(space, xs, ys):
+    return np.sqrt(_squared_euclidean(space, xs, ys)) ** space.p
+
+
+def _lp_truncated(space, xs, ys):
+    s = (np.abs(xs - ys) ** space.p).sum(axis=-1)
+    # 0^(1/p) handled explicitly so d(x,x) is exactly 0
+    return np.where(s == 0.0, 0.0, s ** (1.0 / space.p))
+
+
+def _custom_dsl(space, xs, ys):
+    env = {}
+    for i in range(space.dimension):
+        env[f"u{i + 1}"] = xs[..., i]
+        env[f"v{i + 1}"] = ys[..., i]
+    out = np.asarray(dsl.evaluate(space.expr, env), dtype=float)
+    return np.broadcast_to(out, xs.shape[:-1]).copy() if out.ndim == 0 else out
+
+
+# kind -> kernel(space, xs, ys) for float (N, m) arrays already checked
+# against the space's dimension; returns the (N,) distances
+KERNELS = {"euclidean": _euclidean, "squared_euclidean": _squared_euclidean,
+           "power": _power, "lp_truncated": _lp_truncated, "custom_dsl": _custom_dsl}
 
 
 def euclidean(domain):

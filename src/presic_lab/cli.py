@@ -107,17 +107,19 @@ def cmd_bounds(args):
     prob = problem_mod.load(args.problem)
     if args.eta is None and args.a is None:
         raise UsageError("bounds requires --eta or --a")
+    k, b = prob.operator.arity, prob.space.b
+    if args.eta is None:
+        solver.kannan_bounds(args.a, k, b, 0.0, 0)  # raises unless a k b^(k+1) < 1
+        if not args.picard:
+            raise UsageError("--a bounds hold along the Picard scheme: add --picard")
     seed = prob.solve["seed"] if prob.solve and args.seed is None else _seed(args)
     trace = _solve_trace(prob, args, seed)
-    k, b = prob.operator.arity, prob.space.b
     if args.eta is not None:
         report = solver.presic_bounds(trace, args.eta, b, k)
         payload = report.to_dict()
         payload["alphas"] = [float(v) for v in trace.alphas]
     else:
         lam = args.a * k * b ** k
-        if not b * lam < 1:
-            raise UsageError("requires a*k*b^(k+1) < 1")
         pts = np.asarray(trace.points)
         n_pts = len(pts)
         bounds = [solver.kannan_bounds(args.a, k, b, float(trace.alphas[0]) if len(trace.alphas) else 0.0, n)

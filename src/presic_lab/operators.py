@@ -21,8 +21,6 @@ import numpy as np
 from . import dsl
 from .errors import NumericEvalError, UsageError
 
-_KINDS = ("averaging", "affine", "constant", "dsl")
-
 
 @dataclass(frozen=True)
 class PresicOperator:
@@ -35,7 +33,7 @@ class PresicOperator:
     exprs: tuple | None = None         # dsl, one Expr per output coordinate
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in KERNELS:
             raise UsageError(f"unknown operator kind {self.kind!r}")
         if self.arity < 1:
             raise UsageError("operator arity must be >= 1")
@@ -57,31 +55,7 @@ class PresicOperator:
         w = np.asarray(windows, dtype=float)
         if w.ndim != 3 or w.shape[1] != self.arity or w.shape[2] != self.dimension:
             raise UsageError(f"batch shape {w.shape} does not match (N, {self.arity}, {self.dimension})")
-        if self.kind == "averaging":
-            out = np.sum(w, axis=1) / (2.0 * self.arity)
-        elif self.kind == "affine":
-            # explicit fold keeps summation order independent of batch size,
-            # so batched and single-window evaluation agree bit-for-bit
-            out = w[:, 0, :] * self.weights[0]
-            for j in range(1, self.arity):
-                out = out + w[:, j, :] * self.weights[j]
-            out = out + self.offset
-        elif self.kind == "constant":
-            out = np.broadcast_to(self.value, (len(w), self.dimension)).copy()
-        elif self.kind == "dsl":
-            cols = []
-            for j, expr in enumerate(self.exprs):
-                env = {f"x{i + 1}": w[:, i, j] for i in range(self.arity)}
-                col = np.asarray(dsl.evaluate(expr, env), dtype=float)
-                cols.append(np.broadcast_to(col, (len(w),)))
-            out = np.stack(cols, axis=-1)
-        else:
-            raise AssertionError(self.kind)
-        bad = ~np.isfinite(out)
-        if np.any(bad):
-            n, j = np.argwhere(bad)[0]
-            raise NumericEvalError(f"non-finite operator output at coordinate {j} (window {n})")
-        return out
+        return check_finite(KERNELS[self.kind](self, w))
 
     def diagonal_apply(self, x):
         """F(x) = f(x,..,x); identical to apply on the k-fold repeated window."""
@@ -92,6 +66,45 @@ class PresicOperator:
         """Vectorized diagonal map on (N, m) points."""
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
         return self.apply_batch(np.repeat(xs[:, None, :], self.arity, axis=1))
+
+
+def _averaging(op, w):
+    return w.sum(axis=1) / (2.0 * op.arity)
+
+
+def _affine(op, w):
+    # explicit fold keeps summation order independent of batch size,
+    # so batched and single-window evaluation agree bit-for-bit
+    out = w[:, 0, :] * op.weights[0]
+    for j in range(1, op.arity):
+        out = out + w[:, j, :] * op.weights[j]
+    return out + op.offset
+
+
+def _constant(op, w):
+    return np.broadcast_to(op.value, (len(w), op.dimension)).copy()
+
+
+def _dsl(op, w):
+    cols = []
+    for j, expr in enumerate(op.exprs):
+        env = {f"x{i + 1}": w[:, i, j] for i in range(op.arity)}
+        col = np.asarray(dsl.evaluate(expr, env), dtype=float)
+        cols.append(np.broadcast_to(col, (len(w),)))
+    return np.stack(cols, axis=-1)
+
+
+# kind -> kernel(op, windows) for float64 (N, k, m) windows already checked
+# against the operator's shape; returns (N, m) before the non-finite check
+KERNELS = {"averaging": _averaging, "affine": _affine, "constant": _constant, "dsl": _dsl}
+
+
+def check_finite(out):
+    """Return `out`, raising NumericEvalError at the first non-finite entry."""
+    if not np.isfinite(out).all():
+        n, j = np.argwhere(~np.isfinite(out))[0]
+        raise NumericEvalError(f"non-finite operator output at coordinate {j} (window {n})")
+    return out
 
 
 def averaging(k, dimension=1):

@@ -15,8 +15,7 @@ Schema::
                     "eta": r, "phi": {"kind": "linear"|"paper_piecewise"|"dsl",
                                       "c": r, "expr": "..."}},
       "solve": {"start": [[...], ...] | "random", "seed": <int>,
-                "stop": {"residual_tol": r, "step_tol": r,
-                         "max_iterations": n, "cauchy_window": n}}
+                "stop": {"residual_tol": r, "step_tol": r, "max_iterations": n}}
     }
 """
 
@@ -126,7 +125,6 @@ def _load_solve(cfg, op):
         residual_tol=float(stop_cfg.get("residual_tol", 1e-10)),
         step_tol=float(stop_cfg.get("step_tol", 1e-10)),
         max_iterations=int(stop_cfg.get("max_iterations", 10 ** 6)),
-        cauchy_window=int(stop_cfg.get("cauchy_window", 16)),
     )
     if out["start"] != "random":
         start = np.asarray(out["start"], dtype=float)

@@ -1,6 +1,11 @@
 """k-step iteration x_{n+k} = f(x_n,..,x_{n+k-1}), diagonal Picard iteration,
 convergence detection, empirical rate fitting, and explicit error bounds.
 
+`iterate` and `picard` check their seeds once, at entry; a bad seed is a
+UsageError before any step. The trace of a run holds its points as one
+float64 (n, m) array, seeds included, and its step distances as one
+float64 (n-1,) array.
+
 The bound machinery: with theta = eta^(1/k) and
 K = max(alpha_1/theta, .., alpha_k/theta^k) built from the first k
 consecutive-step distances alpha_n = d(x_n, x_{n+1}), every step obeys
@@ -11,14 +16,17 @@ For the kannan-style scheme with lambda = a k b^k the tail bound is
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from .bmetric import TOL_REL, leq_tol
-from .errors import DomainError, NumericEvalError, UsageError
+from . import bmetric, operators
+from .bmetric import leq_tol
+from .errors import DomainError, UsageError
 
 DIVERGENCE_FACTOR = 1e12
+_INITIAL_CAPACITY = 256  # points a run's buffers hold before their first doubling
 
 
 @dataclass(frozen=True)
@@ -26,7 +34,6 @@ class StopRule:
     residual_tol: float = 1e-10
     step_tol: float = 1e-10
     max_iterations: int = 10 ** 6
-    cauchy_window: int = 16
 
     def __post_init__(self):
         if self.residual_tol <= 0 or self.step_tol <= 0:
@@ -37,7 +44,7 @@ class StopRule:
 
 @dataclass
 class IterationTrace:
-    points: np.ndarray            # (n, m), includes the k seeds
+    points: np.ndarray            # float64 (n, m), includes the seeds
     alphas: np.ndarray            # (n-1,), alphas[i] = d(points[i], points[i+1])
     stop_reason: str              # converged | max_iterations | diverged
     limit: np.ndarray | None = None
@@ -71,33 +78,62 @@ class IterationTrace:
         return rows
 
 
-def _run(step_fn, op, space, seeds, stop, strict_domain):
-    """Shared loop: extend `seeds` with step_fn until a stop rule fires."""
-    points = [np.atleast_1d(np.asarray(p, dtype=float)) for p in seeds]
-    alphas = [space.distance(points[i], points[i + 1]) for i in range(len(points) - 1)]
+def _run(op, space, seeds, stop, strict_domain, diagonal):
+    """Extend the (s, m) `seeds` one point a step until a stop rule fires.
+
+    The seeds are checked here, once; the steps then run unchecked through
+    the operator and metric kernels on views of float64 buffers that double
+    up to max_iterations. The k-step scheme applies f to the last k points,
+    the diagonal scheme to the last point repeated k times.
+    """
+    if space.dimension != op.dimension:
+        raise UsageError(f"operator dimension {op.dimension} does not match "
+                         f"space dimension {space.dimension}")
+    if not np.all(np.isfinite(seeds)):
+        raise UsageError("seed points have non-finite coordinates")
+    k, m = op.arity, op.dimension
+    limit = math.ceil(stop.max_iterations)  # buffer sizes must be ints; 1e6 is not
+    f = operators.KERNELS[op.kind]
+    d = bmetric.KERNELS[space.kind]
+    inside = space.domain.contains
+    n = len(seeds)
+    cap = max(n, min(_INITIAL_CAPACITY, limit))
+    points = np.empty((cap, m))
+    alphas = np.empty(cap)
+    points[:n] = seeds
+    for i in range(1, n):
+        alphas[i - 1] = d(space, points[i - 1:i], points[i:i + 1])[0]
+    window = np.empty((1, k, m)) if diagonal else None
     out_of_domain = 0
     stop_reason = "max_iterations"
-    while len(points) < stop.max_iterations:
-        nxt = step_fn(points)
-        if not np.all(np.isfinite(nxt)):
-            raise NumericEvalError("iteration produced a non-finite point")
-        if not space.domain.contains(nxt)[0]:
+    while n < limit:
+        if n == cap:
+            cap = min(2 * cap, limit)
+            points = np.concatenate([points, np.empty((cap - n, m))])
+            alphas = np.concatenate([alphas, np.empty(cap - n)])
+        if diagonal:
+            window[0] = points[n - 1]
+        else:
+            window = points[n - k:n][None]
+        nxt = operators.check_finite(f(op, window))
+        if not inside(nxt)[0]:
             if strict_domain:
                 raise DomainError("iterate left the domain in strict mode")
             out_of_domain += 1
-        alpha = space.distance(points[-1], nxt)
-        points.append(nxt)
-        alphas.append(alpha)
-        if alphas and alpha > DIVERGENCE_FACTOR * (1.0 + alphas[0]):
+        points[n] = nxt[0]
+        alpha = float(d(space, points[n - 1:n], nxt)[0])
+        alphas[n - 1] = alpha
+        n += 1
+        if alpha > DIVERGENCE_FACTOR * (1.0 + alphas[0]):
             stop_reason = "diverged"
             break
         if alpha <= stop.step_tol:
-            res = space.distance(nxt, op.diagonal_apply(nxt))
+            res = space.distance(nxt[0], op.diagonal_apply(nxt[0]))
             if res <= stop.residual_tol:
                 stop_reason = "converged"
                 break
-    pts = np.asarray(points)
-    trace = IterationTrace(pts, np.asarray(alphas), stop_reason,
+    pts = points[:n].copy()
+    trace = IterationTrace(pts, alphas[:n - 1].copy(), stop_reason,
                            out_of_domain=out_of_domain)
     if stop_reason == "converged":
         trace.limit = pts[-1]
@@ -118,17 +154,16 @@ def iterate(op, space, initial, stop=None, strict_domain=False):
     if arr.shape != (op.arity, op.dimension):
         raise UsageError(
             f"initial must supply k={op.arity} points of dimension {op.dimension}, got shape {arr.shape}")
-    seeds = [arr[i] for i in range(op.arity)]
-    step = lambda pts: op.apply(np.stack(pts[-op.arity:]))
-    return _run(step, op, space, seeds, stop, strict_domain)
+    return _run(op, space, arr, stop, strict_domain, diagonal=False)
 
 
 def picard(op, space, x0, stop=None, strict_domain=False):
     """Iterate the diagonal map F(x) = f(x,..,x) from a single start."""
     stop = stop or StopRule()
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    step = lambda pts: op.diagonal_apply(pts[-1])
-    return _run(step, op, space, [x0], stop, strict_domain)
+    if x0.shape != (op.dimension,):
+        raise UsageError(f"x0 must be one point of dimension {op.dimension}, got shape {x0.shape}")
+    return _run(op, space, x0[None], stop, strict_domain, diagonal=True)
 
 
 @dataclass

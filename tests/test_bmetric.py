@@ -85,6 +85,27 @@ class TestConstructors:
             Box(np.ones(2), np.zeros(2))
 
 
+class TestBoxContains:
+    def test_tolerance_is_relative_to_the_bound(self):
+        # slack at hi = 1e12 is 1e-9 (1 + 1e12), about 1e3
+        box = Box(np.zeros(1), np.full(1, 1e12))
+        np.testing.assert_array_equal(
+            box.contains([[1e12 + 1e-4], [1e12 + 500.0], [-1e-9], [5e11]]), [True] * 4)
+        np.testing.assert_array_equal(
+            box.contains([[1e12 + 1e4], [-1e-8], [2e12]]), [False] * 3)
+
+    def test_unit_box_edges(self, unit_box):
+        np.testing.assert_array_equal(
+            unit_box.contains([[0.0], [2.0], [2.0 + 2e-9], [-0.5e-9]]), [True] * 4)
+        np.testing.assert_array_equal(
+            unit_box.contains([[2.0 + 4e-9], [-2e-9], [3.0]]), [False] * 3)
+
+    def test_every_coordinate_must_be_inside(self):
+        box = Box(np.full(2, -1.0), np.full(2, 1.0))
+        np.testing.assert_array_equal(
+            box.contains([[0.0, 0.0], [0.0, 1.5], [-1.5, 0.0]]), [True, False, False])
+
+
 class TestCheckAxioms:
     def test_squared_euclidean_with_declared_b(self, sq_space):
         report = check_axioms(sq_space, 2000, seed=3)

@@ -102,6 +102,17 @@ class TestSolveCommand:
         assert abs(json.loads(out)["limit"][0]) < 1e-8
 
 
+    def test_stop_block_may_carry_cauchy_window(self, tmp_path):
+        # the key is no longer read; files that still carry it load unchanged
+        cfg = json.loads((PROBLEMS / "averaging_k1.json").read_text())
+        cfg["solve"]["stop"]["cauchy_window"] = 16
+        path = tmp_path / "window.json"
+        path.write_text(json.dumps(cfg))
+        _, with_key = run_cli("solve", str(path))
+        _, without = run_cli("solve", str(PROBLEMS / "averaging_k1.json"))
+        assert strip_timestamp(with_key) == strip_timestamp(without)
+
+
 class TestBoundsCommand:
     def test_eta_bounds(self):
         code, out = run_cli("bounds", str(PROBLEMS / "averaging_k1.json"),
@@ -123,9 +134,27 @@ class TestBoundsCommand:
         payload = json.loads(out)
         assert payload["all_steps_within"]
 
-    def test_kannan_hypothesis_violated(self):
+    def test_kannan_hypothesis_violated(self, capsys):
         code, _ = run_cli("bounds", str(PROBLEMS / "quarter_kannan.json"), "--a", "2.0")
         assert code == 2
+        assert "a*k*b^(k+1) < 1" in capsys.readouterr().err
+
+    def test_kannan_without_picard_is_usage_error(self, tmp_path, capsys):
+        # the Kannan tail bound holds along the Picard scheme; on this k=2
+        # problem the k-step trace breaks it
+        path = tmp_path / "kannan_k2.json"
+        path.write_text(json.dumps({
+            "space": {"kind": "euclidean", "dim": 1, "box": {"lo": [-2.0], "hi": [2.0]}},
+            "operator": {"kind": "affine", "k": 2, "weights": [0.05, 0.05], "offset": [0.0]},
+            "condition": {"kind": "kannan", "a": 0.2},
+            "solve": {"start": [[1.0], [1.0]], "seed": 0}}))
+        code, out = run_cli("bounds", str(path), "--a", "0.2")
+        assert code == 2
+        assert out == ""
+        assert "--picard" in capsys.readouterr().err
+        code, out = run_cli("bounds", str(path), "--a", "0.2", "--picard")
+        assert code == 0
+        assert json.loads(out)["all_steps_within"]
 
     def test_requires_a_constant(self):
         code, _ = run_cli("bounds", str(PROBLEMS / "averaging_k1.json"))

@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from presic_lab import (
+    Box,
+    DomainError,
+    NumericEvalError,
     StopRule,
     UsageError,
     affine,
@@ -10,15 +13,21 @@ from presic_lab import (
     chain_bound,
     ciric_max,
     constant,
+    custom,
     estimate_constant,
     estimate_rate,
+    euclidean,
     from_dsl,
     iterate,
     kannan_bounds,
+    lp_truncated,
     picard,
+    power,
     presic_bounds,
+    squared_euclidean,
     verify,
 )
+from presic_lab.solver import _INITIAL_CAPACITY, DIVERGENCE_FACTOR, IterationTrace
 
 TIGHT = StopRule(residual_tol=1e-20, step_tol=1e-20)
 # for maps whose fixed point is not exactly representable the step size
@@ -240,3 +249,184 @@ class TestWindowMaxMonotonicity:
             window_max = np.array([alphas[i:i + k].max()
                                    for i in range(len(alphas) - k + 1)])
             assert np.all(np.diff(window_max) <= 1e-9 * (1 + window_max[:-1]))
+
+
+# --- the reference loop ------------------------------------------------------
+# The step loop as it was before it moved onto preallocated buffers: one
+# validated public call per operator and metric evaluation, points kept in
+# a Python list. The buffered loop must reproduce its traces bit for bit.
+
+def _reference_run(step_fn, op, space, seeds, stop, strict_domain):
+    points = [np.atleast_1d(np.asarray(p, dtype=float)) for p in seeds]
+    alphas = [space.distance(points[i], points[i + 1]) for i in range(len(points) - 1)]
+    out_of_domain = 0
+    stop_reason = "max_iterations"
+    while len(points) < stop.max_iterations:
+        nxt = step_fn(points)
+        if not np.all(np.isfinite(nxt)):
+            raise NumericEvalError("iteration produced a non-finite point")
+        if not space.domain.contains(nxt)[0]:
+            if strict_domain:
+                raise DomainError("iterate left the domain in strict mode")
+            out_of_domain += 1
+        alpha = space.distance(points[-1], nxt)
+        points.append(nxt)
+        alphas.append(alpha)
+        if alphas and alpha > DIVERGENCE_FACTOR * (1.0 + alphas[0]):
+            stop_reason = "diverged"
+            break
+        if alpha <= stop.step_tol:
+            res = space.distance(nxt, op.diagonal_apply(nxt))
+            if res <= stop.residual_tol:
+                stop_reason = "converged"
+                break
+    pts = np.asarray(points)
+    trace = IterationTrace(pts, np.asarray(alphas), stop_reason,
+                           out_of_domain=out_of_domain)
+    if stop_reason == "converged":
+        trace.limit = pts[-1]
+        trace.final_residual = space.distance(trace.limit, op.diagonal_apply(trace.limit))
+    trace.fitted_rate = estimate_rate(trace)
+    return trace
+
+
+def _reference_iterate(op, space, initial, stop):
+    arr = np.asarray(initial, dtype=float).reshape(op.arity, op.dimension)
+    step = lambda pts: op.apply(np.stack(pts[-op.arity:]))
+    return _reference_run(step, op, space, [arr[i] for i in range(op.arity)], stop, False)
+
+
+def _reference_picard(op, space, x0, stop):
+    step = lambda pts: op.diagonal_apply(pts[-1])
+    return _reference_run(step, op, space, [np.asarray(x0, dtype=float)], stop, False)
+
+
+def _assert_same_trace(got, want):
+    np.testing.assert_array_equal(got.points, want.points)
+    np.testing.assert_array_equal(got.alphas, want.alphas)
+    assert got.points.dtype == np.float64 and got.alphas.dtype == np.float64
+    assert got.stop_reason == want.stop_reason
+    if want.limit is None:
+        assert got.limit is None
+    else:
+        np.testing.assert_array_equal(got.limit, want.limit)
+    assert got.final_residual == want.final_residual
+    assert got.fitted_rate == want.fitted_rate
+    assert got.out_of_domain == want.out_of_domain
+
+
+BOX2 = Box(np.full(2, -1.0), np.full(2, 1.0))
+SPACES2 = {
+    "euclidean": euclidean(BOX2),
+    "squared_euclidean": squared_euclidean(BOX2),
+    "power": power(3.0, BOX2),
+    "lp_truncated": lp_truncated(0.5, BOX2),
+    "custom_dsl": custom("abs(u1 - v1) + abs(u2 - v2)", BOX2, b=1.0),
+}
+OPERATORS2 = {
+    "averaging": averaging(3, dimension=2),
+    "affine": affine([0.45, -0.3], offset=[0.2, -0.1], dimension=2),
+    "constant": constant([0.25, -0.5], k=2),
+    # the k-step run leaves the box and diverges; the diagonal map converges
+    "dsl": from_dsl(["0.9*x1 - 0.5*x2 + 0.3", "x1*x2 - 0.2"], k=2),
+}
+REFERENCE_STOP = StopRule(residual_tol=1e-13, step_tol=1e-13, max_iterations=1500)
+
+
+class TestReferenceLoop:
+    @pytest.mark.parametrize("metric", sorted(SPACES2))
+    @pytest.mark.parametrize("kind", sorted(OPERATORS2))
+    def test_iterate_and_picard_match_reference(self, kind, metric):
+        op, space = OPERATORS2[kind], SPACES2[metric]
+        rng = np.random.default_rng(7)
+        for _ in range(3):
+            start = BOX2.sample(rng, op.arity)
+            _assert_same_trace(iterate(op, space, start, REFERENCE_STOP),
+                               _reference_iterate(op, space, start, REFERENCE_STOP))
+            _assert_same_trace(picard(op, space, start[0], REFERENCE_STOP),
+                               _reference_picard(op, space, start[0], REFERENCE_STOP))
+
+    def test_run_that_grows_past_initial_capacity(self, eu_space):
+        # rate 0.999 never meets the tolerance: the cap fires after the
+        # buffers have doubled twice
+        op = affine([0.999])
+        stop = StopRule(max_iterations=3 * _INITIAL_CAPACITY + 7)
+        got = iterate(op, eu_space, [1.5], stop)
+        _assert_same_trace(got, _reference_iterate(op, eu_space, [1.5], stop))
+        assert got.stop_reason == "max_iterations"
+        assert len(got.points) == stop.max_iterations
+
+    def test_converged_and_diverged_runs_match_reference(self, sq_space, eu_space):
+        for op, space, start in [(averaging(2), sq_space, [2.0, 1.3]),
+                                 (averaging(5), sq_space, [2.0, 0.1, 1.0, 0.7, 1.9]),
+                                 (from_dsl("2*x1", 1), eu_space, [1.0])]:
+            stop = TIGHT if space is sq_space else StopRule(max_iterations=500)
+            _assert_same_trace(iterate(op, space, start, stop),
+                               _reference_iterate(op, space, start, stop))
+
+
+class TestLoopChecks:
+    def test_cap_fires_at_max_iterations(self, eu_space):
+        for max_iterations in (2, 3, 50, 1e2):
+            trace = iterate(affine([0.999, 0.0005]), eu_space, [1.0, 0.5],
+                            StopRule(max_iterations=max_iterations))
+            assert trace.stop_reason == "max_iterations"
+            assert len(trace.points) == max_iterations
+            assert len(trace.alphas) == max_iterations - 1
+
+    def test_strict_domain_raises(self, eu_space):
+        with pytest.raises(DomainError):
+            iterate(constant([3.0], k=2), eu_space, [0.0, 0.0], strict_domain=True)
+        with pytest.raises(DomainError):
+            picard(affine([0.5], offset=1.5), eu_space, [1.0], strict_domain=True)
+
+    def test_out_of_domain_counted(self, eu_space):
+        # x -> x/2 + 1.9 leaves [-2, 2] on its way to the fixed point 3.8
+        trace = iterate(affine([0.5], offset=1.9), eu_space, [0.0], MODERATE)
+        assert trace.stop_reason == "converged"
+        outside = ~eu_space.domain.contains(trace.points[1:])
+        assert trace.out_of_domain == int(outside.sum()) > 0
+
+    def test_in_domain_run_counts_nothing(self, sq_space):
+        assert iterate(averaging(2), sq_space, [2.0, 1.0], TIGHT).out_of_domain == 0
+
+    def test_overflowing_dsl_operator(self, eu_space):
+        blowup = from_dsl("x1*1e200", 1)
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericEvalError, match=r"coordinate 0 \(window 0\)"):
+                iterate(blowup, eu_space, [1e150])
+            with pytest.raises(NumericEvalError, match=r"coordinate 0 \(window 0\)"):
+                picard(blowup, eu_space, [1e150])
+
+
+SEED_OPERATORS = {
+    "averaging": averaging(2),
+    "affine": affine([0.25, 0.25], offset=1.0),
+    "constant": constant([1.0], k=2),
+    "dsl": from_dsl("(x1+x2)/4", 2),
+}
+
+
+class TestSeedValidation:
+    @pytest.mark.parametrize("kind", sorted(SEED_OPERATORS))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_seed_is_usage_error(self, kind, bad, eu_space):
+        op = SEED_OPERATORS[kind]
+        with pytest.raises(UsageError):
+            iterate(op, eu_space, [1.0, bad])
+        with pytest.raises(UsageError):
+            iterate(op, eu_space, [bad, 1.0])
+        with pytest.raises(UsageError):
+            picard(op, eu_space, [bad])
+
+    @pytest.mark.parametrize("kind", sorted(SEED_OPERATORS))
+    def test_wrong_dimension_seed_is_usage_error(self, kind, eu_space):
+        op = SEED_OPERATORS[kind]
+        with pytest.raises(UsageError):
+            iterate(op, eu_space, [[1.0, 0.0], [0.5, 0.0]])
+        with pytest.raises(UsageError):
+            picard(op, eu_space, [1.0, 0.0])
+
+    def test_space_dimension_mismatch_is_usage_error(self, eu_space):
+        with pytest.raises(UsageError):
+            iterate(averaging(1, dimension=2), eu_space, [[1.0, 0.5]])
