@@ -26,6 +26,28 @@ def leq_tol(lhs, rhs):
     return lhs <= rhs + TOL_REL * (1.0 + np.abs(rhs))
 
 
+def fold(ufunc, a, axis):
+    """`ufunc.reduce(a, axis)` as a left fold over the slices of a short axis.
+
+    numpy reduces a short axis row by row, slowly on tall arrays. A fold of
+    add is bit-identical to `.sum()` (which starts from +0.0) only below
+    numpy's pairwise block of 8, so longer axes reduce. So do arrays of at
+    most 512 rows, unless the fold is one copy: the fold's fixed cost of
+    one ufunc call per slice made it slower than one reduce on every
+    kernel shape timed at 8 rows or fewer, and faster on all but one at
+    512 rows. The solver's one-row steps take this path.
+    """
+    n = a.shape[axis]
+    if n >= 8 or n != 1 and a.size <= 512 * n:
+        return ufunc.reduce(a, axis=axis)
+    head = (slice(None),) * (axis % a.ndim)
+    first = a[head + (0,)]
+    out = first + 0.0 if ufunc is np.add else first.copy()
+    for j in range(1, n):
+        ufunc(out, a[head + (j,)], out=out)
+    return out
+
+
 def as_point(x, dimension=None):
     """Coerce to a finite 1-d float64 vector, optionally of a fixed dimension."""
     p = np.atleast_1d(np.asarray(x, dtype=float))
@@ -53,6 +75,10 @@ class Box:
         hi = np.atleast_1d(np.asarray(self.hi, dtype=float))
         if lo.shape != hi.shape or lo.ndim != 1:
             raise UsageError("box lo/hi must be 1-d vectors of equal length")
+        with np.errstate(over="ignore", invalid="ignore"):
+            width = hi - lo  # not finite when lo or hi is not, or when it overflows
+        if not np.isfinite(width).all():
+            raise UsageError("box bounds and widths hi[i] - lo[i] must be finite")
         if np.any(lo > hi):
             raise UsageError("box requires lo[i] <= hi[i]")
         object.__setattr__(self, "lo", lo)
@@ -67,11 +93,15 @@ class Box:
     def contains(self, points):
         """Per point of (N, m) `points`: inside the box up to the tolerance rule."""
         pts = np.atleast_2d(points)
-        return ((pts >= self.lo_tol) & (pts <= self.hi_tol)).all(axis=-1)
+        return fold(np.logical_and, (pts >= self.lo_tol) & (pts <= self.hi_tol), -1)
 
     def sample(self, rng, count):
-        """Draw `count` uniform points, shape (count, m)."""
-        return rng.uniform(self.lo, self.hi, size=(count, self.dimension))
+        """Draw `count` uniform points, shape (count, m); the values of
+        `rng.uniform(lo, hi, ...)`, which is slower with array bounds."""
+        u = rng.random((count, self.dimension))
+        u *= self.hi - self.lo
+        u += self.lo
+        return u
 
     def grid(self, points_per_axis):
         """Uniform grid, shape (points_per_axis**m, m)."""
@@ -126,7 +156,7 @@ class BMetricSpace:
         return float(self.distance_batch(x[None, :], y[None, :])[0])
 
     def distance_batch(self, xs, ys):
-        """Vectorized distance for (N, m) arrays; returns shape (N,)."""
+        """Vectorized distance for (..., m) arrays; returns shape (...)."""
         xs = np.atleast_2d(xs)
         ys = np.atleast_2d(ys)
         if xs.shape[-1] != self.dimension or ys.shape[-1] != self.dimension:
@@ -136,7 +166,7 @@ class BMetricSpace:
 
 def _squared_euclidean(space, xs, ys):
     diff = xs - ys  # d*d is exact for either sign, so no abs
-    return (diff * diff).sum(axis=-1)
+    return fold(np.add, diff * diff, -1)
 
 
 def _euclidean(space, xs, ys):
@@ -148,7 +178,7 @@ def _power(space, xs, ys):
 
 
 def _lp_truncated(space, xs, ys):
-    s = (np.abs(xs - ys) ** space.p).sum(axis=-1)
+    s = fold(np.add, np.abs(xs - ys) ** space.p, -1)
     # 0^(1/p) handled explicitly so d(x,x) is exactly 0
     return np.where(s == 0.0, 0.0, s ** (1.0 / space.p))
 
@@ -158,8 +188,10 @@ def _custom_dsl(space, xs, ys):
     for i in range(space.dimension):
         env[f"u{i + 1}"] = xs[..., i]
         env[f"v{i + 1}"] = ys[..., i]
-    out = np.asarray(dsl.evaluate(space.expr, env), dtype=float)
-    return np.broadcast_to(out, xs.shape[:-1]).copy() if out.ndim == 0 else out
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.asarray(dsl.evaluate(space.expr, env), dtype=float)
+    out = np.broadcast_to(out, xs.shape[:-1]).copy() if out.ndim == 0 else out
+    return dsl.require_finite(out, "custom metric distance")
 
 
 # kind -> kernel(space, xs, ys) for float (N, m) arrays already checked

@@ -23,13 +23,14 @@ window that re-evaluates to a violation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import dsl
-from .bmetric import TOL_REL, leq_tol
-from .errors import DegenerateDomainError, DomainError, UsageError
+from .bmetric import TOL_REL, fold
+from .errors import DegenerateDomainError, DomainError, NumericEvalError, UsageError
 
 WINDOW_KINDS = ("presic_sum", "ciric_max", "lambda_max", "weak_phi", "kannan")
 DIAGONAL_KINDS = ("banach", "diagonal_strict", "diagonal_phi")
@@ -241,65 +242,110 @@ class ContractionCertificate:
 
 # --- sampling --------------------------------------------------------------
 
+# Windows are drawn and checked CHUNK at a time, so each step's arrays stay
+# in cache and peak memory does not grow with the sample count. The draws
+# come in order from one Generator, so no result depends on this size.
+CHUNK = 8_192
+
+
 def _sample_windows(space, width, samples, seed, grid_points=None, budget=2_000_000):
-    """(N, width, m) stacked windows from the box, random or full grid."""
-    m = space.dimension
-    if grid_points is not None:
-        total = grid_points ** (width * m)
-        if total <= budget:
-            axes = []
-            for _ in range(width):
-                for i in range(m):
-                    axes.append(np.linspace(space.domain.lo[i], space.domain.hi[i], grid_points))
-            mesh = np.meshgrid(*axes, indexing="ij")
-            flat = np.stack([g.ravel() for g in mesh], axis=-1)
-            return flat.reshape(-1, width, m)
-        rng = np.random.default_rng(seed)
-        per_axis = [np.linspace(space.domain.lo[i], space.domain.hi[i], grid_points) for i in range(m)]
-        idx = rng.integers(0, grid_points, size=(samples, width, m))
-        cols = [per_axis[i][idx[:, :, i]] for i in range(m)]
-        return np.stack(cols, axis=-1)
+    """Yield (offset, windows): the (N, width, m) sample, CHUNK windows at a time.
+
+    Windows are uniform in the box; with grid_points they are the full grid
+    of grid_points values per axis when it has at most `budget` windows,
+    else `samples` windows drawn from that grid.
+    """
+    box, m = space.domain, space.dimension
     rng = np.random.default_rng(seed)
-    return rng.uniform(space.domain.lo, space.domain.hi, size=(samples, width, m))
+    axes = None if grid_points is None else np.linspace(box.lo, box.hi, grid_points)
+    full = grid_points is not None and grid_points ** (width * m) <= budget
+    total = grid_points ** (width * m) if full else samples
+    for start in range(0, total, CHUNK):
+        count = min(CHUNK, total - start)
+        if grid_points is None:
+            windows = box.sample(rng, count * width)
+        else:  # each coordinate's index on its axis, axes[:, i]
+            idx = (np.stack(np.unravel_index(np.arange(start, start + count),
+                                             (grid_points,) * (width * m)), axis=-1)
+                   if full else rng.integers(0, grid_points, size=(count, width * m)))
+            windows = axes[idx.reshape(count, width, m), np.arange(m)]
+        yield start, windows.reshape(count, width, m)
 
 
-def _consecutive_distances(space, windows):
-    """(N, width-1) distances d(x_j, x_{j+1}) within each window."""
+@contextmanager
+def _renumber(row_of):
+    """Re-raise a NumericEvalError that names a batch row as naming
+    `row_of(row)`: a chunk's row becomes its window's sample index."""
+    try:
+        yield
+    except NumericEvalError as err:
+        if err.row is None:
+            raise
+        raise NumericEvalError(err.template, int(row_of(err.row))) from None
+
+
+def _diagonal_max(op, space, windows):
+    """max_i d(x_i, F(x_i)) over the points of each window."""
     n, width, m = windows.shape
-    left = windows[:, :-1, :].reshape(-1, m)
-    right = windows[:, 1:, :].reshape(-1, m)
-    return space.distance_batch(left, right).reshape(n, width - 1)
+    flat = windows.reshape(-1, m)
+    with _renumber(lambda row: row // width):
+        diag = space.distance_batch(flat, op.diagonal_batch(flat)).reshape(n, width)
+    return fold(np.maximum, diag, 1)
+
+
+def _count_outside(space, strict_domain, *outputs):
+    """How many operator outputs left the domain; DomainError in strict mode."""
+    count = sum(len(f) - int(np.count_nonzero(space.domain.contains(f))) for f in outputs)
+    if strict_domain and count:
+        raise DomainError("operator output left the domain in strict mode")
+    return count
 
 
 def _window_lhs(op, space, windows, strict_domain):
     """d(f(head), f(tail)) for each window, plus out-of-domain count."""
-    f_head = op.apply_batch(windows[:, :-1, :])
-    f_tail = op.apply_batch(windows[:, 1:, :])
-    out_count = int(np.sum(~space.domain.contains(f_head)) + np.sum(~space.domain.contains(f_tail)))
-    if strict_domain and out_count:
-        raise DomainError("operator output left the domain in strict mode")
+    f_head = op.apply_batch(windows[:, :-1])
+    f_tail = op.apply_batch(windows[:, 1:])
+    out_count = _count_outside(space, strict_domain, f_head, f_tail)
     return space.distance_batch(f_head, f_tail), out_count
 
 
 def _window_rhs(op, space, cond, windows):
-    steps = _consecutive_distances(space, windows)
+    if cond.kind == "kannan":
+        return cond.a * _diagonal_max(op, space, windows)
+    # the steps d(x_j, x_{j+1}), on views of the windows
+    steps = space.distance_batch(windows[:, :-1], windows[:, 1:])
     if cond.kind == "presic_sum":
         return steps @ np.asarray(cond.r, dtype=float)
-    if cond.kind in ("ciric_max", "lambda_max"):
-        const = cond.kappa if cond.kind == "ciric_max" else cond.lam
-        return const * steps.max(axis=1)
+    big = fold(np.maximum, steps, 1)
     if cond.kind == "weak_phi":
-        big = steps.max(axis=1)
         return big - cond.phi(big)
-    if cond.kind == "kannan":
-        n, width, m = windows.shape
-        flat = windows.reshape(-1, m)
-        diag = space.distance_batch(flat, op.diagonal_batch(flat)).reshape(n, width)
-        return cond.a * diag.max(axis=1)
-    raise UsageError(f"{cond.kind} is not a window condition")
+    return (cond.kappa if cond.kind == "ciric_max" else cond.lam) * big
 
 
 # --- verification ----------------------------------------------------------
+
+def _certify(cond, seed, chunks, strict=False):
+    """Certificate over (windows, lhs, rhs, out_count) chunks: the first
+    violation in sample order is the witness; slack_min and the
+    out-of-domain count cover every chunk. With strict, ties violate."""
+    samples, slack_min, witness, out_of_domain = 0, np.inf, None, 0
+    for windows, lhs, rhs, out_count in chunks:
+        tol = TOL_REL * (1.0 + np.abs(rhs))
+        bad = lhs > rhs + tol
+        if strict:
+            tie = np.abs(lhs - rhs) <= tol
+            bad |= tie
+        if witness is None and bad.any():
+            i = int(np.argmax(bad))
+            witness = Witness(windows[i].copy(), float(lhs[i]), float(rhs[i]),
+                              tie=strict and bool(tie[i]))
+        samples += len(windows)
+        slack_min = np.minimum(slack_min, (rhs - lhs).min())  # keeps a NaN, as .min() does
+        out_of_domain += out_count
+    verdict = "passed_on_samples" if witness is None else "falsified"
+    return ContractionCertificate(cond, samples, seed, verdict, float(slack_min), witness=witness,
+                                  out_of_domain=out_of_domain)
+
 
 def verify(op, space, cond, samples, seed, grid_points=None, strict_domain=False):
     """Check a window condition on sampled (k+1)-windows.
@@ -311,10 +357,18 @@ def verify(op, space, cond, samples, seed, grid_points=None, strict_domain=False
     if cond.kind not in WINDOW_KINDS:
         raise UsageError(f"verify expects a window condition, got {cond.kind!r}")
     cond.validate(k=op.arity, b=space.b)
-    windows = _sample_windows(space, op.arity + 1, samples, seed, grid_points)
-    lhs, out_count = _window_lhs(op, space, windows, strict_domain)
-    rhs = _window_rhs(op, space, cond, windows)
-    return _certify(cond, windows, lhs, rhs, len(windows), seed, out_count)
+
+    def chunks():
+        for offset, windows in _sample_windows(space, op.arity + 1, samples, seed, grid_points):
+            with _renumber(offset.__add__):
+                lhs, out_count = _window_lhs(op, space, windows, strict_domain)
+                rhs = _window_rhs(op, space, cond, windows)
+            yield windows, lhs, rhs, out_count
+
+    cert = _certify(cond, seed, chunks())
+    if cert.samples == 0:
+        raise UsageError("verify needs at least one sampled window")
+    return cert
 
 
 def verify_diagonal(op, space, cond, samples, seed, grid_points=None, strict_domain=False):
@@ -322,46 +376,30 @@ def verify_diagonal(op, space, cond, samples, seed, grid_points=None, strict_dom
     if cond.kind not in DIAGONAL_KINDS:
         raise UsageError(f"verify_diagonal expects a diagonal condition, got {cond.kind!r}")
     cond.validate(k=op.arity, b=space.b)
-    pairs = _sample_windows(space, 2, samples, seed, grid_points)
-    sep = space.distance_batch(pairs[:, 0, :], pairs[:, 1, :])
-    keep = sep > 0
-    pairs, sep = pairs[keep], sep[keep]
-    if len(pairs) == 0:
+
+    def chunks():
+        for offset, pairs in _sample_windows(space, 2, samples, seed, grid_points):
+            with _renumber(offset.__add__):
+                sep = space.distance_batch(pairs[:, 0], pairs[:, 1])
+                keep = sep > 0
+                if not keep.any():
+                    continue
+                with _renumber(lambda row: np.flatnonzero(keep)[row]):
+                    pairs, sep = pairs[keep], sep[keep]
+                    fx = op.diagonal_batch(pairs[:, 0])
+                    fy = op.diagonal_batch(pairs[:, 1])
+                    out_count = _count_outside(space, strict_domain, fx, fy)
+                    lhs = space.distance_batch(fx, fy)
+                    if cond.kind == "banach":
+                        rhs = cond.eta * sep
+                    else:  # diagonal_strict compares with sep itself, a tie violating
+                        rhs = sep - cond.phi(sep) if cond.kind == "diagonal_phi" else sep
+            yield pairs, lhs, rhs, out_count
+
+    cert = _certify(cond, seed, chunks(), strict=cond.kind == "diagonal_strict")
+    if cert.samples == 0:
         raise DegenerateDomainError("no sampled pair has x != y")
-    fx = op.diagonal_batch(pairs[:, 0, :])
-    fy = op.diagonal_batch(pairs[:, 1, :])
-    out_count = int(np.sum(~space.domain.contains(fx)) + np.sum(~space.domain.contains(fy)))
-    if strict_domain and out_count:
-        raise DomainError("operator output left the domain in strict mode")
-    lhs = space.distance_batch(fx, fy)
-    if cond.kind == "banach":
-        rhs = cond.eta * sep
-    elif cond.kind == "diagonal_phi":
-        rhs = sep - cond.phi(sep)
-    else:  # diagonal_strict: lhs < rhs, ties count as violations
-        rhs = sep
-    strict = cond.kind == "diagonal_strict"
-    return _certify(cond, pairs, lhs, rhs, len(pairs), seed, out_count, strict=strict)
-
-
-def _certify(cond, windows, lhs, rhs, n_samples, seed, out_count, strict=False):
-    slack = rhs - lhs
-    tol = TOL_REL * (1.0 + np.abs(rhs))
-    if strict:
-        hard = lhs > rhs + tol
-        tie = np.abs(lhs - rhs) <= tol
-        bad = hard | tie
-    else:
-        bad = lhs > rhs + tol
-        tie = np.zeros_like(bad)
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        witness = Witness(windows[i], float(lhs[i]), float(rhs[i]), tie=bool(tie[i]))
-        return ContractionCertificate(cond, n_samples, seed, "falsified",
-                                      float(slack.min()), witness=witness,
-                                      out_of_domain=out_count)
-    return ContractionCertificate(cond, n_samples, seed, "passed_on_samples",
-                                  float(slack.min()), out_of_domain=out_count)
+    return cert
 
 
 def estimate_constant(op, space, kind, samples, seed, grid_points=None):
@@ -371,34 +409,26 @@ def estimate_constant(op, space, kind, samples, seed, grid_points=None):
     condition's comparator (its constant stripped) across sampled windows;
     windows whose comparator vanishes are skipped.
     """
-    if kind in ("ciric_max",):
-        width = op.arity + 1
-    elif kind == "kannan":
-        width = op.arity + 1
-    elif kind == "banach":
-        width = 2
-    else:
+    if kind not in ("ciric_max", "banach", "kannan"):
         raise UsageError(f"estimate_constant supports ciric_max|banach|kannan, got {kind!r}")
-    windows = _sample_windows(space, width, samples, seed, grid_points)
-    if kind == "banach":
-        lhs = space.distance_batch(op.diagonal_batch(windows[:, 0, :]),
-                                   op.diagonal_batch(windows[:, 1, :]))
-        base = space.distance_batch(windows[:, 0, :], windows[:, 1, :])
-    else:
-        lhs, _ = _window_lhs(op, space, windows, strict_domain=False)
-        if kind == "ciric_max":
-            base = _consecutive_distances(space, windows).max(axis=1)
-        else:
-            n, w, m = windows.shape
-            flat = windows.reshape(-1, m)
-            base = (space.distance_batch(flat, op.diagonal_batch(flat))
-                    .reshape(n, w).max(axis=1))
-    ok = base > 0
-    if not np.any(ok):
+    width = 2 if kind == "banach" else op.arity + 1
+    best, witness = -np.inf, None
+    for offset, windows in _sample_windows(space, width, samples, seed, grid_points):
+        with _renumber(offset.__add__):
+            if kind == "banach":
+                x, y = windows[:, 0], windows[:, 1]
+                lhs = space.distance_batch(op.diagonal_batch(x), op.diagonal_batch(y))
+                base = space.distance_batch(x, y)
+            else:
+                lhs, _ = _window_lhs(op, space, windows, strict_domain=False)
+                base = _window_rhs(op, space, ConditionSpec(kind, kappa=1.0, a=1.0), windows)
+        ok = base > 0
+        ratio = np.where(ok, lhs / np.where(ok, base, 1.0), -np.inf)
+        i = int(np.argmax(ratio))
+        # keep the first strict maximum, or the first NaN as np.argmax does
+        if not (np.isnan(best) or ratio[i] <= best):
+            best = float(ratio[i])
+            witness = Witness(windows[i].copy(), float(lhs[i]), float(base[i]))
+    if witness is None:
         raise DegenerateDomainError("every sampled window has a vanishing comparator")
-    ratio = np.where(ok, lhs / np.where(ok, base, 1.0), -np.inf)
-    best = int(np.argmax(ratio))
-    return {
-        "constant_hat": float(ratio[best]),
-        "witness": Witness(windows[best], float(lhs[best]), float(base[best])),
-    }
+    return {"constant_hat": best, "witness": witness}

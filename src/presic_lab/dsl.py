@@ -17,7 +17,7 @@ and ``v1..vm`` for custom metrics, ``t`` for gauge functions.
 Evaluation is IEEE double precision and vectorizes over numpy arrays bound
 in the environment. Undefined operations (division by zero, log of a
 non-positive value, sqrt of a negative) raise NumericEvalError instead of
-propagating NaN.
+propagating NaN; on a batch it names the first offending row.
 """
 
 from __future__ import annotations
@@ -247,9 +247,19 @@ def parse(source, variables):
 
 # --- evaluation ------------------------------------------------------------
 
-def _check_finite(value, what):
-    if not np.all(np.isfinite(value)):
-        raise NumericEvalError(f"non-finite result in {what}")
+def _fail(message, bad):
+    """Raise NumericEvalError, naming the first row of `bad` that holds a True."""
+    bad = np.asarray(bad)
+    if bad.ndim == 0:
+        raise NumericEvalError(message)
+    raise NumericEvalError(message + " (row {row})", int(np.nonzero(bad)[0][0]))
+
+
+def require_finite(value, what):
+    """Return `value`, raising NumericEvalError at its first non-finite row."""
+    finite = np.isfinite(value)
+    if not np.all(finite):
+        _fail(f"non-finite result in {what}", ~finite)
     return value
 
 
@@ -274,13 +284,14 @@ def evaluate(expr, env):
         if expr.op == "*":
             return left * right
         if expr.op == "/":
-            if np.any(right == 0):
-                raise NumericEvalError("division by zero")
+            zero = right == 0
+            if np.any(zero):
+                _fail("division by zero", zero)
             return left / right
         if expr.op == "^":
             with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
                 out = np.power(np.asarray(left, dtype=float), np.asarray(right, dtype=float))
-            _check_finite(out, "power")
+            require_finite(out, "power")
             return float(out) if out.ndim == 0 else out
         raise AssertionError(expr.op)
     if isinstance(expr, Call):
@@ -288,15 +299,17 @@ def evaluate(expr, env):
         if expr.func == "abs":
             return np.abs(args[0])
         if expr.func == "sqrt":
-            if np.any(np.asarray(args[0]) < 0):
-                raise NumericEvalError("sqrt of a negative value")
+            negative = np.asarray(args[0]) < 0
+            if np.any(negative):
+                _fail("sqrt of a negative value", negative)
             return np.sqrt(args[0])
         if expr.func == "exp":
             with np.errstate(over="ignore"):
-                return _check_finite(np.exp(args[0]), "exp")
+                return require_finite(np.exp(args[0]), "exp")
         if expr.func == "log":
-            if np.any(np.asarray(args[0]) <= 0):
-                raise NumericEvalError("log of a non-positive value")
+            nonpositive = np.asarray(args[0]) <= 0
+            if np.any(nonpositive):
+                _fail("log of a non-positive value", nonpositive)
             return np.log(args[0])
         if expr.func == "min":
             out = args[0]
@@ -310,22 +323,6 @@ def evaluate(expr, env):
             return out
         raise AssertionError(expr.func)
     raise AssertionError(type(expr))
-
-
-def variables_of(expr):
-    """Set of variable names appearing in the expression."""
-    if isinstance(expr, Var):
-        return {expr.name}
-    if isinstance(expr, Neg):
-        return variables_of(expr.operand)
-    if isinstance(expr, BinOp):
-        return variables_of(expr.left) | variables_of(expr.right)
-    if isinstance(expr, Call):
-        out = set()
-        for a in expr.args:
-            out |= variables_of(a)
-        return out
-    return set()
 
 
 def format_expr(expr):

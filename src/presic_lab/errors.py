@@ -10,7 +10,12 @@ class UsageError(PresicLabError):
 
 
 class NumericEvalError(PresicLabError):
-    """An evaluation produced a mathematically undefined or non-finite value."""
+    """An evaluation produced a mathematically undefined or non-finite value;
+    `row` is the batch index of the first bad entry, which `template` names."""
+
+    def __init__(self, template, row=None):
+        super().__init__(template.format(row=row))
+        self.template, self.row = template, row
 
 
 class DomainError(PresicLabError):

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dsl
+from .bmetric import fold
 from .errors import NumericEvalError, UsageError
 
 
@@ -65,11 +66,11 @@ class PresicOperator:
     def diagonal_batch(self, xs):
         """Vectorized diagonal map on (N, m) points."""
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        return self.apply_batch(np.repeat(xs[:, None, :], self.arity, axis=1))
+        return self.apply_batch(np.broadcast_to(xs[:, None, :], (len(xs), self.arity, xs.shape[1])))
 
 
 def _averaging(op, w):
-    return w.sum(axis=1) / (2.0 * op.arity)
+    return fold(np.add, w, 1) / (2.0 * op.arity)
 
 
 def _affine(op, w):
@@ -103,7 +104,7 @@ def check_finite(out):
     """Return `out`, raising NumericEvalError at the first non-finite entry."""
     if not np.isfinite(out).all():
         n, j = np.argwhere(~np.isfinite(out))[0]
-        raise NumericEvalError(f"non-finite operator output at coordinate {j} (window {n})")
+        raise NumericEvalError(f"non-finite operator output at coordinate {j} (window {{row}})", int(n))
     return out
 
 

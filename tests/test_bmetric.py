@@ -5,6 +5,7 @@ from presic_lab import (
     BMetricSpace,
     Box,
     DegenerateDomainError,
+    NumericEvalError,
     UsageError,
     chain_bound,
     check_axioms,
@@ -15,6 +16,8 @@ from presic_lab import (
     power,
     squared_euclidean,
 )
+
+from presic_lab.bmetric import fold
 
 from conftest import builtin_spaces
 
@@ -60,6 +63,51 @@ class TestDistance:
         space = custom("abs(u1 - v1)^2", unit_box, b=2.0)
         assert space.distance([0.0], [2.0]) == 4.0
 
+    def test_custom_dsl_overflow_is_an_error(self):
+        space = custom("abs(u1-v1)*1e300*1e300", Box([0], [1]), b=1)
+        with pytest.raises(NumericEvalError, match=r"custom metric distance \(row 0\)"):
+            space.distance([0], [1])
+
+    def test_custom_dsl_names_the_first_non_finite_pair(self, unit_box):
+        space = custom("abs(u1-v1)*1e300*1e300", unit_box, b=1)
+        xs = np.array([[0.0], [0.5], [0.0], [1.0]])
+        ys = np.array([[0.0], [0.5], [1.0], [0.0]])
+        with pytest.raises(NumericEvalError, match=r"\(row 2\)"):
+            space.distance_batch(xs, ys)
+
+    def test_batches_of_any_leading_shape(self):
+        rng = np.random.default_rng(2)
+        for space in builtin_spaces():
+            xs = space.domain.sample(rng, 12).reshape(4, 3, -1)
+            ys = space.domain.sample(rng, 12).reshape(4, 3, -1)
+            flat = space.distance_batch(xs.reshape(12, -1), ys.reshape(12, -1))
+            np.testing.assert_array_equal(space.distance_batch(xs, ys), flat.reshape(4, 3))
+
+
+class TestFold:
+    """The short-axis fold is bit-identical to numpy's reductions."""
+
+    VALUES = [0.0, -0.0, 1e-300, -1e-300, 0.1, -2.25, 1e16, -1e16, 3.0000001]
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_sum_max_all_along_any_axis(self, n):
+        rng = np.random.default_rng(n)
+        a = rng.choice(self.VALUES, size=(4000, n, 3))
+        b = rng.choice(self.VALUES, size=(4000, 3, n))
+        for arr, axis in ((a, 1), (b, -1), (b, 2)):
+            for ufunc, reduce in ((np.add, arr.sum), (np.maximum, arr.max)):
+                got, want = fold(ufunc, arr, axis), reduce(axis=axis)
+                np.testing.assert_array_equal(got, want)
+                np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+            mask = arr > 0
+            np.testing.assert_array_equal(fold(np.logical_and, mask, axis), mask.all(axis=axis))
+
+    def test_does_not_write_to_its_input(self):
+        a = np.array([[1.0, 2.0], [3.0, 4.0]])
+        fold(np.add, a, 1)
+        fold(np.maximum, a[:, :1], 1)[...] = 0.0
+        np.testing.assert_array_equal(a, [[1.0, 2.0], [3.0, 4.0]])
+
 
 class TestConstructors:
     def test_declared_constants(self, unit_box):
@@ -84,6 +132,13 @@ class TestConstructors:
         with pytest.raises(UsageError):
             Box(np.ones(2), np.zeros(2))
 
+    @pytest.mark.parametrize("lo, hi", [([-1e308], [1e308]), ([0.0], [np.inf]),
+                                        ([-np.inf], [0.0]), ([np.nan], [1.0])])
+    def test_box_bounds_and_widths_must_be_finite(self, lo, hi):
+        # a width hi - lo that overflows would make every sampled point inf
+        with pytest.raises(UsageError, match="finite"):
+            Box(np.asarray(lo), np.asarray(hi))
+
 
 class TestBoxContains:
     def test_tolerance_is_relative_to_the_bound(self):
@@ -99,6 +154,12 @@ class TestBoxContains:
             unit_box.contains([[0.0], [2.0], [2.0 + 2e-9], [-0.5e-9]]), [True] * 4)
         np.testing.assert_array_equal(
             unit_box.contains([[2.0 + 4e-9], [-2e-9], [3.0]]), [False] * 3)
+
+    def test_sample_is_rng_uniform(self):
+        box = Box(np.array([-1.0, 0.3, 5.0]), np.array([2.0, 0.31, 1e6]))
+        got = box.sample(np.random.default_rng(3), 1001)
+        want = np.random.default_rng(3).uniform(box.lo, box.hi, size=(1001, 3))
+        np.testing.assert_array_equal(got, want)
 
     def test_every_coordinate_must_be_inside(self):
         box = Box(np.full(2, -1.0), np.full(2, 1.0))

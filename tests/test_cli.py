@@ -55,6 +55,17 @@ class TestVerifyCommand:
         code, _ = run_cli("verify", str(path))
         assert code == 2
 
+    @pytest.mark.parametrize("lo, hi", [(-1e308, 1e308), (0.0, float("inf"))])
+    def test_non_finite_box_is_usage_error(self, tmp_path, lo, hi):
+        # json writes and reads inf as Infinity; a width of 2e308 overflows
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({
+            "space": {"kind": "euclidean", "dim": 1, "box": {"lo": [lo], "hi": [hi]}},
+            "operator": {"kind": "constant", "k": 1, "value": [0.0]},
+            "condition": {"kind": "ciric_max", "kappa": 0.5}}))
+        code, out = run_cli("verify", str(path))
+        assert code == 2 and out == ""
+
     def test_diagonal_condition_dispatch(self, tmp_path):
         cfg = json.loads((PROBLEMS / "averaging_k1.json").read_text())
         cfg["condition"] = {"kind": "banach", "eta": 0.25}

@@ -1,15 +1,20 @@
 import numpy as np
 import pytest
 
+import tracemalloc
+
 from presic_lab import (
     Box,
     DegenerateDomainError,
+    DomainError,
+    NumericEvalError,
     UsageError,
     affine,
     averaging,
     banach,
     ciric_max,
     constant,
+    custom,
     diagonal_phi,
     diagonal_strict,
     estimate_constant,
@@ -18,14 +23,23 @@ from presic_lab import (
     kannan,
     lambda_max,
     linear_phi,
+    lp_truncated,
     piecewise_phi,
+    power,
     presic_sum,
     squared_euclidean,
     verify,
     verify_diagonal,
     weak_phi,
 )
-from presic_lab.contraction import ConditionSpec, dsl_phi
+from presic_lab.bmetric import TOL_REL
+from presic_lab.contraction import (
+    CHUNK,
+    ContractionCertificate,
+    ConditionSpec,
+    Witness,
+    dsl_phi,
+)
 
 
 class TestPhi:
@@ -257,3 +271,391 @@ class TestCertificateSerialization:
     def test_condition_dict(self):
         spec = ConditionSpec("weak_phi", phi=piecewise_phi())
         assert spec.to_dict() == {"kind": "weak_phi", "phi": {"kind": "paper_piecewise"}}
+
+
+# --- the reference pipeline --------------------------------------------------
+# verify, verify_diagonal and estimate_constant as they were before windows
+# were streamed in chunks: the whole sample drawn at once by rng.uniform (or
+# the whole grid), one batch call per layer, short axes reduced by numpy.
+# The chunked pipeline must reproduce their results bit for bit.
+
+def _reference_sample_windows(space, width, samples, seed, grid_points=None, budget=2_000_000):
+    m = space.dimension
+    if grid_points is not None:
+        total = grid_points ** (width * m)
+        if total <= budget:
+            axes = []
+            for _ in range(width):
+                for i in range(m):
+                    axes.append(np.linspace(space.domain.lo[i], space.domain.hi[i], grid_points))
+            mesh = np.meshgrid(*axes, indexing="ij")
+            flat = np.stack([g.ravel() for g in mesh], axis=-1)
+            return flat.reshape(-1, width, m)
+        rng = np.random.default_rng(seed)
+        per_axis = [np.linspace(space.domain.lo[i], space.domain.hi[i], grid_points)
+                    for i in range(m)]
+        idx = rng.integers(0, grid_points, size=(samples, width, m))
+        cols = [per_axis[i][idx[:, :, i]] for i in range(m)]
+        return np.stack(cols, axis=-1)
+    rng = np.random.default_rng(seed)
+    return rng.uniform(space.domain.lo, space.domain.hi, size=(samples, width, m))
+
+
+def _reference_diagonal(op, xs):
+    return op.apply_batch(np.repeat(xs[:, None, :], op.arity, axis=1))
+
+
+def _reference_consecutive_distances(space, windows):
+    n, width, m = windows.shape
+    left = windows[:, :-1, :].reshape(-1, m)
+    right = windows[:, 1:, :].reshape(-1, m)
+    return space.distance_batch(left, right).reshape(n, width - 1)
+
+
+def _reference_outside(space, points):
+    pts = np.atleast_2d(points)
+    return int(np.sum(~((pts >= space.domain.lo_tol) & (pts <= space.domain.hi_tol)).all(axis=-1)))
+
+
+def _reference_window_lhs(op, space, windows, strict_domain):
+    f_head = op.apply_batch(windows[:, :-1, :])
+    f_tail = op.apply_batch(windows[:, 1:, :])
+    out_count = _reference_outside(space, f_head) + _reference_outside(space, f_tail)
+    if strict_domain and out_count:
+        raise DomainError("operator output left the domain in strict mode")
+    return space.distance_batch(f_head, f_tail), out_count
+
+
+def _reference_window_rhs(op, space, cond, windows):
+    steps = _reference_consecutive_distances(space, windows)
+    if cond.kind == "presic_sum":
+        return steps @ np.asarray(cond.r, dtype=float)
+    if cond.kind in ("ciric_max", "lambda_max"):
+        const = cond.kappa if cond.kind == "ciric_max" else cond.lam
+        return const * steps.max(axis=1)
+    if cond.kind == "weak_phi":
+        big = steps.max(axis=1)
+        return big - cond.phi(big)
+    n, width, m = windows.shape
+    flat = windows.reshape(-1, m)
+    diag = space.distance_batch(flat, _reference_diagonal(op, flat)).reshape(n, width)
+    return cond.a * diag.max(axis=1)
+
+
+def _reference_certify(cond, windows, lhs, rhs, n_samples, seed, out_count, strict=False):
+    slack = rhs - lhs
+    tol = TOL_REL * (1.0 + np.abs(rhs))
+    if strict:
+        tie = np.abs(lhs - rhs) <= tol
+        bad = (lhs > rhs + tol) | tie
+    else:
+        bad = lhs > rhs + tol
+        tie = np.zeros_like(bad)
+    witness = None
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        witness = Witness(windows[i], float(lhs[i]), float(rhs[i]), tie=bool(tie[i]))
+    verdict = "passed_on_samples" if witness is None else "falsified"
+    return ContractionCertificate(cond, n_samples, seed, verdict, float(slack.min()),
+                                  witness=witness, out_of_domain=out_count)
+
+
+def _reference_verify(op, space, cond, samples, seed, grid_points=None, strict_domain=False):
+    windows = _reference_sample_windows(space, op.arity + 1, samples, seed, grid_points)
+    lhs, out_count = _reference_window_lhs(op, space, windows, strict_domain)
+    rhs = _reference_window_rhs(op, space, cond, windows)
+    return _reference_certify(cond, windows, lhs, rhs, len(windows), seed, out_count)
+
+
+def _reference_verify_diagonal(op, space, cond, samples, seed, grid_points=None,
+                               strict_domain=False):
+    pairs = _reference_sample_windows(space, 2, samples, seed, grid_points)
+    sep = space.distance_batch(pairs[:, 0, :], pairs[:, 1, :])
+    keep = sep > 0
+    pairs, sep = pairs[keep], sep[keep]
+    if len(pairs) == 0:
+        raise DegenerateDomainError("no sampled pair has x != y")
+    fx = _reference_diagonal(op, pairs[:, 0, :])
+    fy = _reference_diagonal(op, pairs[:, 1, :])
+    out_count = _reference_outside(space, fx) + _reference_outside(space, fy)
+    if strict_domain and out_count:
+        raise DomainError("operator output left the domain in strict mode")
+    lhs = space.distance_batch(fx, fy)
+    if cond.kind == "banach":
+        rhs = cond.eta * sep
+    elif cond.kind == "diagonal_phi":
+        rhs = sep - cond.phi(sep)
+    else:
+        rhs = sep
+    return _reference_certify(cond, pairs, lhs, rhs, len(pairs), seed, out_count,
+                              strict=cond.kind == "diagonal_strict")
+
+
+def _reference_estimate_constant(op, space, kind, samples, seed, grid_points=None):
+    width = 2 if kind == "banach" else op.arity + 1
+    windows = _reference_sample_windows(space, width, samples, seed, grid_points)
+    if kind == "banach":
+        lhs = space.distance_batch(_reference_diagonal(op, windows[:, 0, :]),
+                                   _reference_diagonal(op, windows[:, 1, :]))
+        base = space.distance_batch(windows[:, 0, :], windows[:, 1, :])
+    else:
+        lhs, _ = _reference_window_lhs(op, space, windows, strict_domain=False)
+        if kind == "ciric_max":
+            base = _reference_consecutive_distances(space, windows).max(axis=1)
+        else:
+            n, w, m = windows.shape
+            flat = windows.reshape(-1, m)
+            base = (space.distance_batch(flat, _reference_diagonal(op, flat))
+                    .reshape(n, w).max(axis=1))
+    ok = base > 0
+    if not np.any(ok):
+        raise DegenerateDomainError("every sampled window has a vanishing comparator")
+    ratio = np.where(ok, lhs / np.where(ok, base, 1.0), -np.inf)
+    best = int(np.argmax(ratio))
+    return {"constant_hat": float(ratio[best]),
+            "witness": Witness(windows[best], float(lhs[best]), float(base[best]))}
+
+
+def _assert_same_certificate(got, want):
+    assert got.to_dict() == want.to_dict()
+    assert got.out_of_domain == want.out_of_domain
+    assert np.signbit(got.slack_min) == np.signbit(want.slack_min)
+    if want.witness is not None:
+        np.testing.assert_array_equal(got.witness.window, want.witness.window)
+
+
+def _assert_same_estimate(got, want):
+    assert got["constant_hat"] == want["constant_hat"]
+    np.testing.assert_array_equal(got["witness"].window, want["witness"].window)
+    assert (got["witness"].lhs, got["witness"].rhs) == (want["witness"].lhs, want["witness"].rhs)
+
+
+BOX2 = Box(np.full(2, -1.0), np.full(2, 1.0))
+SPACES2 = {
+    "euclidean": euclidean(BOX2),
+    "squared_euclidean": squared_euclidean(BOX2),
+    "power": power(3.0, BOX2),
+    "lp_truncated": lp_truncated(0.5, BOX2),
+    "custom_dsl": custom("max(abs(u1 - v1), abs(u2 - v2))^2", BOX2, b=2.0),
+}
+OPERATORS2 = {
+    "averaging": averaging(2, dimension=2),
+    "affine": affine([0.45, -0.3], offset=[0.2, -0.1], dimension=2),
+    "constant": constant([0.25, -0.5], k=2),
+    "dsl": from_dsl(["(x1 - x2)/3 + 0.1", "x1*x2/2"], k=2, dimension=2),
+}
+WINDOW_CONDITIONS = {
+    "presic_sum": presic_sum([0.3, 0.3]),
+    "ciric_max": ciric_max(0.3),
+    "lambda_max": lambda_max(0.2),
+    "weak_phi": weak_phi(piecewise_phi()),
+    "kannan": kannan(0.005),
+}
+DIAGONAL_CONDITIONS = {
+    "banach": banach(0.3),
+    "diagonal_strict": diagonal_strict(),
+    "diagonal_phi": diagonal_phi(linear_phi(0.5)),
+}
+SAMPLE_COUNTS = (1, CHUNK - 1, CHUNK + 1, 3 * CHUNK + 7)
+
+
+class TestChunkedMatchesReference:
+    """Streaming the windows in chunks changes no result."""
+
+    @pytest.mark.parametrize("op_kind", OPERATORS2)
+    @pytest.mark.parametrize("metric", SPACES2)
+    @pytest.mark.parametrize("cond", WINDOW_CONDITIONS)
+    def test_verify_every_kind(self, cond, metric, op_kind):
+        args = (OPERATORS2[op_kind], SPACES2[metric], WINDOW_CONDITIONS[cond], CHUNK + 1, 5)
+        _assert_same_certificate(verify(*args), _reference_verify(*args))
+
+    @pytest.mark.parametrize("op_kind", OPERATORS2)
+    @pytest.mark.parametrize("metric", SPACES2)
+    @pytest.mark.parametrize("cond", DIAGONAL_CONDITIONS)
+    def test_verify_diagonal_every_kind(self, cond, metric, op_kind):
+        args = (OPERATORS2[op_kind], SPACES2[metric], DIAGONAL_CONDITIONS[cond], CHUNK + 1, 6)
+        _assert_same_certificate(verify_diagonal(*args), _reference_verify_diagonal(*args))
+
+    @pytest.mark.parametrize("op_kind", OPERATORS2)
+    @pytest.mark.parametrize("metric", SPACES2)
+    @pytest.mark.parametrize("kind", ["ciric_max", "banach", "kannan"])
+    def test_estimate_constant_every_kind(self, kind, metric, op_kind):
+        args = (OPERATORS2[op_kind], SPACES2[metric], kind, CHUNK + 1, 7)
+        _assert_same_estimate(estimate_constant(*args), _reference_estimate_constant(*args))
+
+    @pytest.mark.parametrize("samples", SAMPLE_COUNTS)
+    def test_sample_counts(self, sq_space, samples):
+        op = averaging(2)
+        for cond in (ciric_max(0.26), presic_sum([0.1, 0.1]), weak_phi(piecewise_phi())):
+            _assert_same_certificate(verify(op, sq_space, cond, samples, 8),
+                                     _reference_verify(op, sq_space, cond, samples, 8))
+        _assert_same_certificate(verify_diagonal(op, sq_space, banach(0.2), samples, 9),
+                                 _reference_verify_diagonal(op, sq_space, banach(0.2), samples, 9))
+        _assert_same_estimate(estimate_constant(op, sq_space, "kannan", samples, 10),
+                              _reference_estimate_constant(op, sq_space, "kannan", samples, 10))
+
+    @pytest.mark.parametrize("grid_points, samples", [(30, 0), (200, 3 * CHUNK + 7)])
+    def test_grid_paths(self, eu_space, grid_points, samples):
+        # 30^3 windows enumerate the full grid over 4 chunks; 200^3 is over
+        # the budget, so windows are drawn from the grid
+        op = affine([0.5, -0.3])
+        for cond in (ciric_max(0.85), kannan(0.3)):
+            _assert_same_certificate(
+                verify(op, eu_space, cond, samples, 11, grid_points=grid_points),
+                _reference_verify(op, eu_space, cond, samples, 11, grid_points=grid_points))
+        _assert_same_certificate(
+            verify_diagonal(op, eu_space, diagonal_strict(), samples, 12, grid_points=grid_points),
+            _reference_verify_diagonal(op, eu_space, diagonal_strict(), samples, 12,
+                                       grid_points=grid_points))
+        for kind in ("ciric_max", "banach"):
+            _assert_same_estimate(
+                estimate_constant(op, eu_space, kind, samples, 13, grid_points=grid_points),
+                _reference_estimate_constant(op, eu_space, kind, samples, 13,
+                                             grid_points=grid_points))
+
+    def test_first_violation_in_a_later_chunk(self, sq_space):
+        # contracts everywhere except near x = 2, which the grid (200^2
+        # windows, head coordinate most significant) reaches only after
+        # four chunks
+        op = from_dsl("x1/4 + 8*max(x1 - 1.99, 0)", k=1)
+        cond = ciric_max(0.3)
+        got = verify(op, sq_space, cond, 0, 0, grid_points=200)
+        want = _reference_verify(op, sq_space, cond, 0, 0, grid_points=200)
+        _assert_same_certificate(got, want)
+        windows = _reference_sample_windows(sq_space, 2, 0, 0, grid_points=200)
+        first = np.flatnonzero((windows == got.witness.window).all(axis=(1, 2)))[0]
+        assert first > 4 * CHUNK
+        assert got.samples == len(windows)
+
+    def test_slack_min_over_every_chunk(self, sq_space):
+        # falsified in the first chunk; the smallest slack lies in the third
+        op = averaging(2)
+        got = verify(op, sq_space, ciric_max(0.2), 3 * CHUNK + 7, 14)
+        want = _reference_verify(op, sq_space, ciric_max(0.2), 3 * CHUNK + 7, 14)
+        _assert_same_certificate(got, want)
+        assert got.verdict == "falsified"
+
+    def test_strict_domain(self, sq_space):
+        op = from_dsl("x1 + 10*max(x1 - 1.99, 0)", k=1)  # leaves [0, 2] near 2
+        for strict in (False, True):
+            for run, ref in ((verify, _reference_verify),
+                             (verify_diagonal, _reference_verify_diagonal)):
+                cond = ciric_max(0.9) if run is verify else banach(0.9)
+                if strict:
+                    with pytest.raises(DomainError):
+                        ref(op, sq_space, cond, 3 * CHUNK + 7, 15, strict_domain=True)
+                    with pytest.raises(DomainError):
+                        run(op, sq_space, cond, 3 * CHUNK + 7, 15, strict_domain=True)
+                else:
+                    got = run(op, sq_space, cond, 3 * CHUNK + 7, 15)
+                    _assert_same_certificate(got, ref(op, sq_space, cond, 3 * CHUNK + 7, 15))
+                    assert got.out_of_domain > 0
+
+    def test_fold_falls_back_to_sum_on_long_axes(self):
+        # averaging k=8 sums over 8 window slots, and m=8 metrics over 8
+        # coordinates: numpy's pairwise summation, not the short-axis fold
+        box8 = Box(np.full(8, -1.0), np.full(8, 1.0))
+        box1 = Box(np.full(1, -1.0), np.full(1, 1.0))
+        rng = np.random.default_rng(16)
+        w = rng.uniform(-1.0, 1.0, size=(CHUNK + 1, 9, 1))
+        np.testing.assert_array_equal(averaging(8).apply_batch(w[:, 1:]),
+                                      w[:, 1:].sum(axis=1) / 16.0)
+        np.testing.assert_array_equal(averaging(8).diagonal_batch(w[:, 0]),
+                                      np.repeat(w[:, :1], 8, axis=1).sum(axis=1) / 16.0)
+        xs, ys = rng.uniform(-1.0, 1.0, size=(2, CHUNK + 1, 8))
+        np.testing.assert_array_equal(squared_euclidean(box8).distance_batch(xs, ys),
+                                      ((xs - ys) * (xs - ys)).sum(axis=-1))
+        s = (np.abs(xs - ys) ** 0.5).sum(axis=-1)
+        np.testing.assert_array_equal(lp_truncated(0.5, box8).distance_batch(xs, ys), s ** 2.0)
+        cases = [(averaging(8), squared_euclidean(box1)),
+                 (averaging(8, dimension=8), squared_euclidean(box8)),
+                 (affine(np.full(2, 0.3), dimension=8), lp_truncated(0.5, box8))]
+        for op, space in cases:
+            for cond in (ciric_max(0.3), kannan(1e-4)):
+                _assert_same_certificate(verify(op, space, cond, CHUNK + 1, 16),
+                                         _reference_verify(op, space, cond, CHUNK + 1, 16))
+            _assert_same_certificate(
+                verify_diagonal(op, space, banach(0.3), CHUNK + 1, 17),
+                _reference_verify_diagonal(op, space, banach(0.3), CHUNK + 1, 17))
+            _assert_same_estimate(estimate_constant(op, space, "kannan", CHUNK + 1, 18),
+                                  _reference_estimate_constant(op, space, "kannan", CHUNK + 1, 18))
+
+    def test_overflowing_distances_give_nan_as_the_reference_does(self, sq_space):
+        # squared distances past 1e154 are inf, so slacks and ratios of two
+        # such distances are NaN: over [0, 1e200] in every window; on the
+        # [0, 2] grid only in the last chunk, where the head passes 1.99
+        # and the operator jumps to about 1e198
+        huge = squared_euclidean(Box(np.zeros(1), np.full(1, 1e200)))
+        jump = from_dsl("1e200*max(x1 - 1.99, 0)", k=1)
+        runs = [(averaging(2), huge, presic_sum([0.3, 0.3]), CHUNK - 1, {}),
+                (averaging(2), huge, ciric_max(0.3), 3 * CHUNK + 7, {}),
+                (jump, sq_space, kannan(0.1), 0, {"grid_points": 200})]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for op, space, cond, samples, grid in runs:
+                got = verify(op, space, cond, samples, 20, **grid)
+                want = _reference_verify(op, space, cond, samples, 20, **grid)
+                assert np.isnan(want.slack_min)
+                np.testing.assert_equal(got.to_dict(), want.to_dict())
+                if cond.kind == "presic_sum":
+                    continue
+                got = estimate_constant(op, space, cond.kind, samples, 21, **grid)
+                want = _reference_estimate_constant(op, space, cond.kind, samples, 21, **grid)
+                assert np.isnan(want["constant_hat"])
+                np.testing.assert_equal(got["constant_hat"], want["constant_hat"])
+                np.testing.assert_array_equal(got["witness"].window, want["witness"].window)
+
+
+class TestErrorsNameTheGlobalWindow:
+    """A NumericEvalError names the window by its sample index, not its
+    index in the chunk it was found in."""
+
+    SAMPLES = 3 * CHUNK + 7
+    SEED = 10  # every bad window below falls in a chunk after the first, alone there
+
+    def _first_bad(self, space, width, bad_point):
+        windows = _reference_sample_windows(space, width, self.SAMPLES, self.SEED)
+        bad = np.flatnonzero(bad_point(windows[:, :, 0]).any(axis=1))
+        in_chunk = bad[bad // CHUNK == bad[0] // CHUNK]
+        assert bad[0] >= CHUNK and len(in_chunk) == 1
+        return bad[0]
+
+    def test_dsl_error_in_operator(self, sq_space):
+        op = from_dsl("sqrt(x1 - 1e-4)", k=1)
+        row = self._first_bad(sq_space, 2, lambda x: x < 1e-4)
+        with pytest.raises(NumericEvalError, match=rf"sqrt of a negative value \(row {row}\)"):
+            verify(op, sq_space, ciric_max(0.3), self.SAMPLES, self.SEED)
+
+    def test_non_finite_operator_output(self, sq_space):
+        op = from_dsl("max(x1 - 1.9999, 0)*1e308*1e5", k=1)
+        with np.errstate(over="ignore"):
+            row = self._first_bad(sq_space, 2,
+                                  lambda x: np.isinf(np.maximum(x - 1.9999, 0) * 1e308 * 1e5))
+            with pytest.raises(NumericEvalError, match=rf"coordinate 0 \(window {row}\)"):
+                verify(op, sq_space, ciric_max(0.3), self.SAMPLES, self.SEED)
+
+    def test_kannan_diagonal(self, sq_space):
+        # f(x1, x2) is defined on the windows' heads and tails; its
+        # diagonal F(x) = f(x, x) is not, near 0
+        op = from_dsl("sqrt(x1 + x2 - 2e-4)/10", k=2)
+        row = self._first_bad(sq_space, 3, lambda x: x < 1e-4)
+        with pytest.raises(NumericEvalError, match=rf"\(row {row}\)"):
+            verify(op, sq_space, kannan(0.01), self.SAMPLES, self.SEED)
+
+
+def test_verify_memory_does_not_grow_with_samples(sq_space):
+    op, cond = averaging(2), ciric_max(0.3)
+
+    def peak(samples):
+        tracemalloc.start()
+        try:
+            verify(op, sq_space, cond, samples, 19)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(2_000_000) <= 1.5 * peak(200_000)
+
+
+def test_verify_needs_a_window(sq_space):
+    with pytest.raises(UsageError):
+        verify(averaging(1), sq_space, ciric_max(0.5), 0, seed=0)

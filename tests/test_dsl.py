@@ -87,6 +87,19 @@ class TestErrors:
         with pytest.raises(NumericEvalError):
             ev("sqrt(x1)", ["x1"], x1=-1.0)
 
+    @pytest.mark.parametrize("source, bad", [
+        ("1/x1", [1.0, 2.0, 0.0, 0.0]),
+        ("log(x1)", [1.0, 2.0, -1.0, 0.0]),
+        ("sqrt(x1)", [1.0, 2.0, -1.0, -2.0]),
+        ("exp(x1)", [1.0, 2.0, 1e4, 1e4]),
+    ])
+    def test_batch_errors_name_the_first_bad_row(self, source, bad):
+        with pytest.raises(NumericEvalError, match=r"\(row 2\)$"):
+            evaluate(parse(source, ["x1"]), {"x1": np.array(bad)})
+        # rows are the first axis of a 2-d batch
+        with pytest.raises(NumericEvalError, match=r"\(row 1\)$"):
+            evaluate(parse(source, ["x1"]), {"x1": np.array(bad).reshape(2, 2)})
+
     def test_no_nan_propagation(self):
         # structured error, not a silent NaN
         with pytest.raises(NumericEvalError):
