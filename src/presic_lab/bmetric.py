@@ -10,12 +10,13 @@ chain bound d(u_0,u_n) <= b d(u_0,u_1) + ... + b^(n-1) d(u_{n-1},u_n).
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import dsl
-from .errors import DegenerateDomainError, UsageError
+from .errors import DegenerateDomainError, NumericEvalError, UsageError
 
 # Scale-aware slack: L <= R is judged violated when L > R + TOL_REL*(1+|R|).
 TOL_REL = 1e-9
@@ -103,13 +104,6 @@ class Box:
         u += self.lo
         return u
 
-    def grid(self, points_per_axis):
-        """Uniform grid, shape (points_per_axis**m, m)."""
-        axes = [np.linspace(self.lo[i], self.hi[i], points_per_axis)
-                for i in range(self.dimension)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -121,7 +115,6 @@ class Violation:
 
 @dataclass
 class AxiomReport:
-    checked_pairs: int
     checked_triples: int
     violations: list[Violation] = field(default_factory=list)
 
@@ -230,101 +223,133 @@ def custom(expr_source, domain, b):
     return BMetricSpace("custom_dsl", domain, b=float(b), expr=expr)
 
 
-def _sample_points(space, sample_count, seed, grid_points=None):
-    if grid_points is not None:
-        return space.domain.grid(grid_points)
+# --- sampling --------------------------------------------------------------
+
+# Windows are drawn and checked CHUNK at a time, so each step's arrays stay
+# in cache and peak memory does not grow with the sample count. The draws
+# come in order from one Generator, so no result depends on this size.
+CHUNK = 8_192
+
+
+def _sample_windows(space, width, samples, seed, grid_points=None, budget=2_000_000):
+    """Yield (offset, windows): the (N, width, m) sample, CHUNK windows at a time.
+
+    Windows are uniform in the box; with grid_points they are the full grid
+    of grid_points values per axis when it has at most `budget` windows,
+    else `samples` windows drawn from that grid.
+    """
+    box, m = space.domain, space.dimension
     rng = np.random.default_rng(seed)
-    return space.domain.sample(rng, sample_count)
+    axes = None if grid_points is None else np.linspace(box.lo, box.hi, grid_points)
+    full = grid_points is not None and grid_points ** (width * m) <= budget
+    total = grid_points ** (width * m) if full else samples
+    for start in range(0, total, CHUNK):
+        count = min(CHUNK, total - start)
+        if grid_points is None:
+            windows = box.sample(rng, count * width)
+        else:  # each coordinate's index on its axis, axes[:, i]
+            idx = (np.stack(np.unravel_index(np.arange(start, start + count),
+                                             (grid_points,) * (width * m)), axis=-1)
+                   if full else rng.integers(0, grid_points, size=(count, width * m)))
+            windows = axes[idx.reshape(count, width, m), np.arange(m)]
+        yield start, windows.reshape(count, width, m)
+
+
+@contextmanager
+def _renumber(row_of):
+    """Re-raise a NumericEvalError that names a batch row as naming
+    `row_of(row)`: a chunk's row becomes its window's sample index."""
+    try:
+        yield
+    except NumericEvalError as err:
+        if err.row is None:
+            raise
+        raise NumericEvalError(err.template, int(row_of(err.row))) from None
+
+
+def max_ratio(chunks):
+    """The first strict maximum of num/den over (items, num, den) chunks.
+
+    Returns (ratio, (item, num, den)) at that row, or (-inf, None) when no
+    row has den > 0; those rows are skipped. A NaN ratio is kept once
+    reached, as np.argmax keeps the first NaN.
+    """
+    best, at = -np.inf, None
+    for items, num, den in chunks:
+        ok = den > 0
+        ratio = np.where(ok, num / np.where(ok, den, 1.0), -np.inf)
+        i = int(np.argmax(ratio))
+        if not (np.isnan(best) or ratio[i] <= best):
+            best, at = float(ratio[i]), (items[i].copy(), float(num[i]), float(den[i]))
+    return best, at
 
 
 def check_axioms(space, sample_count, seed, grid_points=None, max_triples=2_000_000):
     """Sampled check of identity, symmetry, and the relaxed triangle inequality.
 
-    With grid_points set, points come from a uniform grid and all ordered
-    triples are enumerated when that stays within max_triples; otherwise
-    triples are drawn at random (seeded) from the sampled points.
+    Identity is checked at sampled points (seed), symmetry and the relaxed
+    triangle at sampled triples (seed + 1), both drawn CHUNK at a time. With
+    grid_points set, the points and the ordered triples are every one the
+    grid has when their count is within max_triples, else drawn from it.
     """
     if grid_points is None and sample_count < 1:
         raise UsageError("sample_count must be >= 1")
-    pts = _sample_points(space, sample_count, seed, grid_points)
-    n = len(pts)
-    violations = []
-
+    b1, b2, b3, checked = [], [], [], 0
     # b1: d(x,x) = 0 for every sampled point
-    self_d = space.distance_batch(pts, pts)
-    for i in np.nonzero(~leq_tol(self_d, 0.0))[0]:
-        violations.append(Violation("b1", (tuple(pts[i]),), float(self_d[i]), 0.0))
+    for offset, w in _sample_windows(space, 1, sample_count, seed, grid_points, max_triples):
+        with _renumber(offset.__add__):
+            self_d = space.distance_batch(w[:, 0], w[:, 0])
+        for i in np.flatnonzero(~leq_tol(self_d, 0.0)):
+            b1.append(Violation("b1", (tuple(w[i, 0]),), float(self_d[i]), 0.0))
 
-    rng = np.random.default_rng(seed + 1 if seed is not None else None)
-    if grid_points is not None and n ** 3 <= max_triples:
-        idx = np.indices((n, n, n)).reshape(3, -1)
-        ia, ib, ic = idx[0], idx[1], idx[2]
-    else:
-        count = max(sample_count, 1)
-        ia = rng.integers(0, n, size=count)
-        ib = rng.integers(0, n, size=count)
-        ic = rng.integers(0, n, size=count)
+    seed = seed + 1 if seed is not None else None
+    for offset, w in _sample_windows(space, 3, sample_count, seed, grid_points, max_triples):
+        xs, ys, zs = w[:, 0], w[:, 1], w[:, 2]
+        with _renumber(offset.__add__):
+            d_xy = space.distance_batch(xs, ys)
+            d_yx = space.distance_batch(ys, xs)
+            d_xz = space.distance_batch(xs, zs)
+            d_zy = space.distance_batch(zs, ys)
 
-    xs, ys, zs = pts[ia], pts[ib], pts[ic]
-    d_xy = space.distance_batch(xs, ys)
-    d_yx = space.distance_batch(ys, xs)
-    d_xz = space.distance_batch(xs, zs)
-    d_zy = space.distance_batch(zs, ys)
+        # b2: symmetry on the (x, y) pairs
+        asym = np.abs(d_xy - d_yx) > TOL_REL * (1.0 + np.abs(d_xy))
+        for i in np.flatnonzero(asym):
+            b2.append(Violation("b2", (tuple(xs[i]), tuple(ys[i])),
+                                float(d_xy[i]), float(d_yx[i])))
 
-    # b2: symmetry on the (x, y) pairs
-    asym = np.abs(d_xy - d_yx) > TOL_REL * (1.0 + np.abs(d_xy))
-    for i in np.nonzero(asym)[0]:
-        violations.append(Violation("b2", (tuple(xs[i]), tuple(ys[i])),
-                                    float(d_xy[i]), float(d_yx[i])))
+        # b3: relaxed triangle inequality against the declared b
+        rhs = space.b * (d_xz + d_zy)
+        for i in np.flatnonzero(~leq_tol(d_xy, rhs)):
+            b3.append(Violation("b3", (tuple(xs[i]), tuple(zs[i]), tuple(ys[i])),
+                                float(d_xy[i]), float(rhs[i])))
+        checked += len(w)
 
-    # b3: relaxed triangle inequality against the declared b
-    rhs = space.b * (d_xz + d_zy)
-    bad = ~leq_tol(d_xy, rhs)
-    for i in np.nonzero(bad)[0]:
-        violations.append(Violation("b3", (tuple(xs[i]), tuple(zs[i]), tuple(ys[i])),
-                                    float(d_xy[i]), float(rhs[i])))
-
-    return AxiomReport(checked_pairs=len(ia), checked_triples=len(ia),
-                       violations=violations)
+    return AxiomReport(checked_triples=checked, violations=b1 + b2 + b3)
 
 
 def estimate_b(space, sample_count, seed, grid_points=None, max_triples=2_000_000):
     """Empirical sharp relaxation constant.
 
     Returns {'b_hat', 'witness'} where b_hat is the maximum of
-    d(x,y)/(d(x,z)+d(z,y)) over sampled triples and witness attains it.
-    Triples with a zero denominator are skipped; if every triple is
+    d(x,y)/(d(x,z)+d(z,y)) over sampled triples (x, z, y), drawn CHUNK at a
+    time, and witness attains it. Triples with a zero denominator are skipped; if every triple is
     degenerate the domain has collapsed and DegenerateDomainError is raised.
     """
     if grid_points is None and sample_count < 1:
         raise UsageError("sample_count must be >= 1")
-    if grid_points is not None:
-        pts = space.domain.grid(grid_points)
-        n = len(pts)
-        if n ** 3 <= max_triples:
-            idx = np.indices((n, n, n)).reshape(3, -1)
-            xs, zs, ys = pts[idx[0]], pts[idx[1]], pts[idx[2]]
-        else:
-            rng = np.random.default_rng(seed)
-            sel = rng.integers(0, n, size=(sample_count, 3))
-            xs, zs, ys = pts[sel[:, 0]], pts[sel[:, 1]], pts[sel[:, 2]]
-    else:
-        rng = np.random.default_rng(seed)
-        xs = space.domain.sample(rng, sample_count)
-        zs = space.domain.sample(rng, sample_count)
-        ys = space.domain.sample(rng, sample_count)
 
-    num = space.distance_batch(xs, ys)
-    den = space.distance_batch(xs, zs) + space.distance_batch(zs, ys)
-    ok = den > 0
-    if not np.any(ok):
+    def chunks():
+        for offset, w in _sample_windows(space, 3, sample_count, seed, grid_points, max_triples):
+            x, z, y = w[:, 0], w[:, 1], w[:, 2]
+            with _renumber(offset.__add__):
+                num = space.distance_batch(x, y)
+                den = space.distance_batch(x, z) + space.distance_batch(z, y)
+            yield w, num, den
+
+    b_hat, at = max_ratio(chunks())
+    if at is None:
         raise DegenerateDomainError("all sampled triples have zero denominator")
-    ratio = np.where(ok, num / np.where(ok, den, 1.0), -np.inf)
-    best = int(np.argmax(ratio))
-    return {
-        "b_hat": float(ratio[best]),
-        "witness": (as_point(xs[best]), as_point(zs[best]), as_point(ys[best])),
-    }
+    return {"b_hat": b_hat, "witness": tuple(at[0])}
 
 
 def chain_bound(space, points):

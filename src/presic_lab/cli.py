@@ -22,8 +22,6 @@ import numpy as np
 from . import bmetric, contraction, operators, problem as problem_mod, solver
 from .errors import PresicLabError, UsageError
 
-DEMO_NAMES = ("paper-example-2-1-2", "paper-bmetric-examples", "paper-phi-anomaly")
-
 
 def _emit(payload, args, fmt="json"):
     payload = dict(payload)
@@ -73,12 +71,9 @@ def _solve_trace(prob, args, seed):
     if prob.solve is None:
         raise UsageError("problem file has no 'solve' block")
     start = prob.solve["start"]
-    if isinstance(start, str):  # "random"
-        rng = np.random.default_rng(seed)
-        if args.picard:
-            start = rng.uniform(prob.space.domain.lo, prob.space.domain.hi)
-        else:
-            start = prob.space.domain.sample(rng, prob.operator.arity)
+    if isinstance(start, str):  # "random": one point for Picard, else k
+        start = prob.space.domain.sample(np.random.default_rng(seed),
+                                         1 if args.picard else prob.operator.arity)
     if args.picard:
         x0 = np.asarray(start, dtype=float).reshape(-1)[: prob.space.dimension]
         return solver.picard(prob.operator, prob.space, x0, prob.solve["stop"],
@@ -220,15 +215,16 @@ def _demo_phi_anomaly(args):
     return rows, ok
 
 
+DEMOS = {"paper-example-2-1-2": _demo_iteration_example,
+         "paper-bmetric-examples": _demo_bmetric_constants,
+         "paper-phi-anomaly": _demo_phi_anomaly}
+DEMO_NAMES = tuple(DEMOS)
+
+
 def cmd_demo(args):
-    if args.name == "paper-example-2-1-2":
-        rows, ok = _demo_iteration_example(args)
-    elif args.name == "paper-bmetric-examples":
-        rows, ok = _demo_bmetric_constants(args)
-    elif args.name == "paper-phi-anomaly":
-        rows, ok = _demo_phi_anomaly(args)
-    else:
+    if args.name not in DEMOS:
         raise UsageError(f"unknown demo {args.name!r}; choose from {', '.join(DEMO_NAMES)}")
+    rows, ok = DEMOS[args.name](args)
     width = max(len(r[0]) for r in rows)
     print(f"demo: {args.name}")
     for label, status, detail in rows:

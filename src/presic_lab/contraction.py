@@ -23,14 +23,13 @@ window that re-evaluates to a violation.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import dsl
-from .bmetric import TOL_REL, fold
-from .errors import DegenerateDomainError, DomainError, NumericEvalError, UsageError
+from .bmetric import CHUNK, TOL_REL, _renumber, _sample_windows, fold, max_ratio  # re-exports CHUNK
+from .errors import DegenerateDomainError, DomainError, UsageError
 
 WINDOW_KINDS = ("presic_sum", "ciric_max", "lambda_max", "weak_phi", "kannan")
 DIAGONAL_KINDS = ("banach", "diagonal_strict", "diagonal_phi")
@@ -240,50 +239,6 @@ class ContractionCertificate:
         }
 
 
-# --- sampling --------------------------------------------------------------
-
-# Windows are drawn and checked CHUNK at a time, so each step's arrays stay
-# in cache and peak memory does not grow with the sample count. The draws
-# come in order from one Generator, so no result depends on this size.
-CHUNK = 8_192
-
-
-def _sample_windows(space, width, samples, seed, grid_points=None, budget=2_000_000):
-    """Yield (offset, windows): the (N, width, m) sample, CHUNK windows at a time.
-
-    Windows are uniform in the box; with grid_points they are the full grid
-    of grid_points values per axis when it has at most `budget` windows,
-    else `samples` windows drawn from that grid.
-    """
-    box, m = space.domain, space.dimension
-    rng = np.random.default_rng(seed)
-    axes = None if grid_points is None else np.linspace(box.lo, box.hi, grid_points)
-    full = grid_points is not None and grid_points ** (width * m) <= budget
-    total = grid_points ** (width * m) if full else samples
-    for start in range(0, total, CHUNK):
-        count = min(CHUNK, total - start)
-        if grid_points is None:
-            windows = box.sample(rng, count * width)
-        else:  # each coordinate's index on its axis, axes[:, i]
-            idx = (np.stack(np.unravel_index(np.arange(start, start + count),
-                                             (grid_points,) * (width * m)), axis=-1)
-                   if full else rng.integers(0, grid_points, size=(count, width * m)))
-            windows = axes[idx.reshape(count, width, m), np.arange(m)]
-        yield start, windows.reshape(count, width, m)
-
-
-@contextmanager
-def _renumber(row_of):
-    """Re-raise a NumericEvalError that names a batch row as naming
-    `row_of(row)`: a chunk's row becomes its window's sample index."""
-    try:
-        yield
-    except NumericEvalError as err:
-        if err.row is None:
-            raise
-        raise NumericEvalError(err.template, int(row_of(err.row))) from None
-
-
 def _diagonal_max(op, space, windows):
     """max_i d(x_i, F(x_i)) over the points of each window."""
     n, width, m = windows.shape
@@ -324,12 +279,15 @@ def _window_rhs(op, space, cond, windows):
 
 # --- verification ----------------------------------------------------------
 
-def _certify(cond, seed, chunks, strict=False):
-    """Certificate over (windows, lhs, rhs, out_count) chunks: the first
-    violation in sample order is the witness; slack_min and the
+def _certify(space, cond, width, evaluate, samples, seed, grid_points, strict=False):
+    """Certificate over the sampled windows, drawn CHUNK at a time:
+    `evaluate(windows)` gives the (windows, lhs, rhs, out_count) it keeps.
+    The first violation in sample order is the witness; slack_min and the
     out-of-domain count cover every chunk. With strict, ties violate."""
-    samples, slack_min, witness, out_of_domain = 0, np.inf, None, 0
-    for windows, lhs, rhs, out_count in chunks:
+    count, slack_min, witness, out_of_domain = 0, np.inf, None, 0
+    for offset, windows in _sample_windows(space, width, samples, seed, grid_points):
+        with _renumber(offset.__add__):
+            windows, lhs, rhs, out_count = evaluate(windows)
         tol = TOL_REL * (1.0 + np.abs(rhs))
         bad = lhs > rhs + tol
         if strict:
@@ -339,11 +297,11 @@ def _certify(cond, seed, chunks, strict=False):
             i = int(np.argmax(bad))
             witness = Witness(windows[i].copy(), float(lhs[i]), float(rhs[i]),
                               tie=strict and bool(tie[i]))
-        samples += len(windows)
-        slack_min = np.minimum(slack_min, (rhs - lhs).min())  # keeps a NaN, as .min() does
+        count += len(windows)
+        slack_min = np.minimum(slack_min, (rhs - lhs).min(initial=np.inf))  # keeps a NaN
         out_of_domain += out_count
     verdict = "passed_on_samples" if witness is None else "falsified"
-    return ContractionCertificate(cond, samples, seed, verdict, float(slack_min), witness=witness,
+    return ContractionCertificate(cond, count, seed, verdict, float(slack_min), witness=witness,
                                   out_of_domain=out_of_domain)
 
 
@@ -358,14 +316,11 @@ def verify(op, space, cond, samples, seed, grid_points=None, strict_domain=False
         raise UsageError(f"verify expects a window condition, got {cond.kind!r}")
     cond.validate(k=op.arity, b=space.b)
 
-    def chunks():
-        for offset, windows in _sample_windows(space, op.arity + 1, samples, seed, grid_points):
-            with _renumber(offset.__add__):
-                lhs, out_count = _window_lhs(op, space, windows, strict_domain)
-                rhs = _window_rhs(op, space, cond, windows)
-            yield windows, lhs, rhs, out_count
+    def evaluate(windows):
+        lhs, out_count = _window_lhs(op, space, windows, strict_domain)
+        return windows, lhs, _window_rhs(op, space, cond, windows), out_count
 
-    cert = _certify(cond, seed, chunks())
+    cert = _certify(space, cond, op.arity + 1, evaluate, samples, seed, grid_points)
     if cert.samples == 0:
         raise UsageError("verify needs at least one sampled window")
     return cert
@@ -377,26 +332,25 @@ def verify_diagonal(op, space, cond, samples, seed, grid_points=None, strict_dom
         raise UsageError(f"verify_diagonal expects a diagonal condition, got {cond.kind!r}")
     cond.validate(k=op.arity, b=space.b)
 
-    def chunks():
-        for offset, pairs in _sample_windows(space, 2, samples, seed, grid_points):
-            with _renumber(offset.__add__):
-                sep = space.distance_batch(pairs[:, 0], pairs[:, 1])
-                keep = sep > 0
-                if not keep.any():
-                    continue
-                with _renumber(lambda row: np.flatnonzero(keep)[row]):
-                    pairs, sep = pairs[keep], sep[keep]
-                    fx = op.diagonal_batch(pairs[:, 0])
-                    fy = op.diagonal_batch(pairs[:, 1])
-                    out_count = _count_outside(space, strict_domain, fx, fy)
-                    lhs = space.distance_batch(fx, fy)
-                    if cond.kind == "banach":
-                        rhs = cond.eta * sep
-                    else:  # diagonal_strict compares with sep itself, a tie violating
-                        rhs = sep - cond.phi(sep) if cond.kind == "diagonal_phi" else sep
-            yield pairs, lhs, rhs, out_count
+    def evaluate(pairs):
+        sep = space.distance_batch(pairs[:, 0], pairs[:, 1])
+        keep = sep > 0
+        if not keep.any():
+            return pairs[:0], sep[:0], sep[:0], 0
+        with _renumber(lambda row: np.flatnonzero(keep)[row]):
+            pairs, sep = pairs[keep], sep[keep]
+            fx = op.diagonal_batch(pairs[:, 0])
+            fy = op.diagonal_batch(pairs[:, 1])
+            out_count = _count_outside(space, strict_domain, fx, fy)
+            lhs = space.distance_batch(fx, fy)
+            if cond.kind == "banach":
+                rhs = cond.eta * sep
+            else:  # diagonal_strict compares with sep itself, a tie violating
+                rhs = sep - cond.phi(sep) if cond.kind == "diagonal_phi" else sep
+        return pairs, lhs, rhs, out_count
 
-    cert = _certify(cond, seed, chunks(), strict=cond.kind == "diagonal_strict")
+    cert = _certify(space, cond, 2, evaluate, samples, seed, grid_points,
+                    strict=cond.kind == "diagonal_strict")
     if cert.samples == 0:
         raise DegenerateDomainError("no sampled pair has x != y")
     return cert
@@ -411,24 +365,21 @@ def estimate_constant(op, space, kind, samples, seed, grid_points=None):
     """
     if kind not in ("ciric_max", "banach", "kannan"):
         raise UsageError(f"estimate_constant supports ciric_max|banach|kannan, got {kind!r}")
-    width = 2 if kind == "banach" else op.arity + 1
-    best, witness = -np.inf, None
-    for offset, windows in _sample_windows(space, width, samples, seed, grid_points):
-        with _renumber(offset.__add__):
-            if kind == "banach":
-                x, y = windows[:, 0], windows[:, 1]
-                lhs = space.distance_batch(op.diagonal_batch(x), op.diagonal_batch(y))
-                base = space.distance_batch(x, y)
-            else:
-                lhs, _ = _window_lhs(op, space, windows, strict_domain=False)
-                base = _window_rhs(op, space, ConditionSpec(kind, kappa=1.0, a=1.0), windows)
-        ok = base > 0
-        ratio = np.where(ok, lhs / np.where(ok, base, 1.0), -np.inf)
-        i = int(np.argmax(ratio))
-        # keep the first strict maximum, or the first NaN as np.argmax does
-        if not (np.isnan(best) or ratio[i] <= best):
-            best = float(ratio[i])
-            witness = Witness(windows[i].copy(), float(lhs[i]), float(base[i]))
-    if witness is None:
+
+    def chunks():
+        width = 2 if kind == "banach" else op.arity + 1
+        for offset, windows in _sample_windows(space, width, samples, seed, grid_points):
+            with _renumber(offset.__add__):
+                if kind == "banach":
+                    x, y = windows[:, 0], windows[:, 1]
+                    lhs = space.distance_batch(op.diagonal_batch(x), op.diagonal_batch(y))
+                    base = space.distance_batch(x, y)
+                else:
+                    lhs, _ = _window_lhs(op, space, windows, strict_domain=False)
+                    base = _window_rhs(op, space, ConditionSpec(kind, kappa=1.0, a=1.0), windows)
+            yield windows, lhs, base
+
+    best, at = max_ratio(chunks())
+    if at is None:
         raise DegenerateDomainError("every sampled window has a vanishing comparator")
-    return {"constant_hat": best, "witness": witness}
+    return {"constant_hat": best, "witness": Witness(*at)}

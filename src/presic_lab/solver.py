@@ -66,15 +66,12 @@ class IterationTrace:
         }
         return out
 
-    def to_csv_rows(self, bounds=None):
-        """Rows (n, x, alpha_n, bound_n); coordinates are ';'-joined."""
-        rows = [("n", "x", "alpha_n", "bound_n")]
+    def to_csv_rows(self):
+        """Rows (n, x, alpha_n); coordinates are ';'-joined."""
+        rows = [("n", "x", "alpha_n")]
         for i, pt in enumerate(self.points):
             alpha = repr(float(self.alphas[i])) if i < len(self.alphas) else ""
-            bnd = ""
-            if bounds is not None and i < len(bounds.per_step_bounds):
-                bnd = repr(float(bounds.per_step_bounds[i]))
-            rows.append((str(i + 1), ";".join(repr(float(v)) for v in pt), alpha, bnd))
+            rows.append((str(i + 1), ";".join(repr(float(v)) for v in pt), alpha))
         return rows
 
 

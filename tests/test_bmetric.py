@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from presic_lab import (
     squared_euclidean,
 )
 
-from presic_lab.bmetric import fold
+from presic_lab.bmetric import CHUNK, TOL_REL, AxiomReport, Violation, as_point, fold, leq_tol
 
 from conftest import builtin_spaces
 
@@ -265,3 +267,167 @@ class TestChainBound:
                 length = int(rng.integers(2, 20))
                 pts = space.domain.sample(rng, length)
                 assert chain_bound(space, pts)["holds"], space.kind
+
+
+# --- the reference checks ------------------------------------------------------
+# check_axioms and estimate_b as they were before their triples were streamed
+# through the window sampler: the points of a meshgrid (or one uniform draw),
+# every ordered triple of grid points as one index array, one batch call per
+# distance. On a full grid the streamed checks must reproduce them bit for bit.
+
+def _reference_grid(box, points_per_axis):
+    axes = [np.linspace(box.lo[i], box.hi[i], points_per_axis) for i in range(box.dimension)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
+def _reference_check_axioms(space, sample_count, seed, grid_points=None, max_triples=2_000_000):
+    if grid_points is not None:
+        pts = _reference_grid(space.domain, grid_points)
+    else:
+        pts = space.domain.sample(np.random.default_rng(seed), sample_count)
+    n = len(pts)
+    violations = []
+    self_d = space.distance_batch(pts, pts)
+    for i in np.nonzero(~leq_tol(self_d, 0.0))[0]:
+        violations.append(Violation("b1", (tuple(pts[i]),), float(self_d[i]), 0.0))
+    rng = np.random.default_rng(seed + 1 if seed is not None else None)
+    if grid_points is not None and n ** 3 <= max_triples:
+        ia, ib, ic = np.indices((n, n, n)).reshape(3, -1)
+    else:
+        count = max(sample_count, 1)
+        ia = rng.integers(0, n, size=count)
+        ib = rng.integers(0, n, size=count)
+        ic = rng.integers(0, n, size=count)
+    xs, ys, zs = pts[ia], pts[ib], pts[ic]
+    d_xy = space.distance_batch(xs, ys)
+    d_yx = space.distance_batch(ys, xs)
+    d_xz = space.distance_batch(xs, zs)
+    d_zy = space.distance_batch(zs, ys)
+    asym = np.abs(d_xy - d_yx) > TOL_REL * (1.0 + np.abs(d_xy))
+    for i in np.nonzero(asym)[0]:
+        violations.append(Violation("b2", (tuple(xs[i]), tuple(ys[i])),
+                                    float(d_xy[i]), float(d_yx[i])))
+    rhs = space.b * (d_xz + d_zy)
+    for i in np.nonzero(~leq_tol(d_xy, rhs))[0]:
+        violations.append(Violation("b3", (tuple(xs[i]), tuple(zs[i]), tuple(ys[i])),
+                                    float(d_xy[i]), float(rhs[i])))
+    return AxiomReport(checked_triples=len(ia), violations=violations)
+
+
+def _reference_estimate_b(space, sample_count, seed, grid_points=None, max_triples=2_000_000):
+    if grid_points is not None:
+        pts = _reference_grid(space.domain, grid_points)
+        n = len(pts)
+        if n ** 3 <= max_triples:
+            idx = np.indices((n, n, n)).reshape(3, -1)
+            xs, zs, ys = pts[idx[0]], pts[idx[1]], pts[idx[2]]
+        else:
+            sel = np.random.default_rng(seed).integers(0, n, size=(sample_count, 3))
+            xs, zs, ys = pts[sel[:, 0]], pts[sel[:, 1]], pts[sel[:, 2]]
+    else:
+        rng = np.random.default_rng(seed)
+        xs = space.domain.sample(rng, sample_count)
+        zs = space.domain.sample(rng, sample_count)
+        ys = space.domain.sample(rng, sample_count)
+    num = space.distance_batch(xs, ys)
+    den = space.distance_batch(xs, zs) + space.distance_batch(zs, ys)
+    ok = den > 0
+    if not np.any(ok):
+        raise DegenerateDomainError("all sampled triples have zero denominator")
+    ratio = np.where(ok, num / np.where(ok, den, 1.0), -np.inf)
+    best = int(np.argmax(ratio))
+    return {"b_hat": float(ratio[best]),
+            "witness": (as_point(xs[best]), as_point(zs[best]), as_point(ys[best]))}
+
+
+def _spaces_of_every_kind(m):
+    """Each metric kind on [0, 2]^m, declared with b = 1 so that the
+    non-metrics violate b3; the custom metric also breaks b1 and b2."""
+    box = Box(np.zeros(m), np.full(m, 2.0))
+    custom_src = "(u1-v1)^2 + 0.5*u1" + (" + (u2-v2)^2" if m == 2 else "")
+    return [BMetricSpace("euclidean", box, b=1.0),
+            BMetricSpace("squared_euclidean", box, b=1.0),
+            BMetricSpace("power", box, b=1.0, p=3.0),
+            BMetricSpace("lp_truncated", box, b=1.0, p=0.5),
+            custom(custom_src, box, b=1.0)]
+
+
+# 30^3 triples at m=1 and 7^6 at m=2: both span several chunks
+@pytest.mark.parametrize("m, grid_points", [(1, 30), (2, 7)])
+@pytest.mark.parametrize("kind", range(5), ids=["euclidean", "squared_euclidean", "power",
+                                                "lp_truncated", "custom_dsl"])
+class TestFullGridMatchesTheReference:
+    def test_estimate_b(self, m, grid_points, kind):
+        space = _spaces_of_every_kind(m)[kind]
+        got = estimate_b(space, 0, 4, grid_points=grid_points)
+        want = _reference_estimate_b(space, 0, 4, grid_points=grid_points)
+        np.testing.assert_equal(got["b_hat"], want["b_hat"])
+        np.testing.assert_array_equal(np.stack(got["witness"]), np.stack(want["witness"]))
+
+    def test_check_axioms(self, m, grid_points, kind):
+        space = _spaces_of_every_kind(m)[kind]
+        got = check_axioms(space, 0, 4, grid_points=grid_points)
+        want = _reference_check_axioms(space, 0, 4, grid_points=grid_points)
+        assert got.checked_triples == want.checked_triples == grid_points ** (3 * m)
+        assert got.violations == want.violations
+        if kind == 4:
+            assert {v.axiom for v in got.violations} == {"b1", "b2", "b3"}
+
+
+class TestStreamedAxiomChecks:
+    def test_identity_is_checked_at_the_same_random_points(self):
+        space = _spaces_of_every_kind(1)[4]
+        b1 = [v for v in check_axioms(space, 3 * CHUNK + 7, 8).violations if v.axiom == "b1"]
+        want = [v for v in _reference_check_axioms(space, 3 * CHUNK + 7, 8).violations
+                if v.axiom == "b1"]
+        assert b1 == want
+
+    @pytest.mark.parametrize("grid_points", [3, 200])  # 200^3 triples exceed max_triples
+    def test_each_grid_point_reports_its_b1_violation_once(self, unit_box, grid_points):
+        space = custom("abs(u1-v1) + 1", unit_box, b=2.0)
+        report = check_axioms(space, 1000, 0, grid_points=grid_points)
+        b1 = [v.points[0] for v in report.violations if v.axiom == "b1"]
+        assert b1 == [(float(x),) for x in np.linspace(0.0, 2.0, grid_points)]
+
+    def test_random_triples_are_counted(self, sq_space):
+        assert check_axioms(sq_space, 3 * CHUNK + 7, 1).checked_triples == 3 * CHUNK + 7
+
+    def test_estimate_b_memory_does_not_grow_with_samples(self, sq_space):
+        def peak(samples):
+            tracemalloc.start()
+            try:
+                estimate_b(sq_space, samples, 19)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(2_000_000) <= 1.5 * peak(200_000)
+
+
+class TestErrorsNameTheGlobalTriple:
+    """A custom metric that fails names the triple by its sample index,
+    not by its index in the chunk it was drawn in."""
+
+    SAMPLES = 3 * CHUNK + 7
+    SEED = 7  # the first bad triple of each check falls after the first chunk, alone there
+    SPACE = custom("abs(u1-v1) + 0*sqrt(u1 - v1 + 1.99)", Box([0.0], [2.0]), b=2.0)
+
+    def _first_bad(self, seed, pairs):
+        """The first triple with a pair (u, v) where the metric is undefined;
+        `pairs` picks the metric's (u, v) pairs from the triple's columns."""
+        cols = np.random.default_rng(seed).uniform(0.0, 2.0, size=(self.SAMPLES, 3)).T
+        bad = np.flatnonzero(np.any([cols[i] - cols[j] < -1.99 for i, j in pairs], axis=0))
+        in_chunk = bad[bad // CHUNK == bad[0] // CHUNK]
+        assert bad[0] >= CHUNK and len(in_chunk) == 1
+        return bad[0]
+
+    def test_estimate_b(self):
+        row = self._first_bad(self.SEED, [(0, 2), (0, 1), (1, 2)])  # (x, z, y)
+        with pytest.raises(NumericEvalError, match=rf"sqrt of a negative value \(row {row}\)"):
+            estimate_b(self.SPACE, self.SAMPLES, self.SEED)
+
+    def test_check_axioms(self):
+        row = self._first_bad(self.SEED + 1, [(0, 1), (1, 0), (0, 2), (2, 1)])  # (x, y, z)
+        with pytest.raises(NumericEvalError, match=rf"sqrt of a negative value \(row {row}\)"):
+            check_axioms(self.SPACE, self.SAMPLES, self.SEED)

@@ -77,6 +77,14 @@ class TestIterate:
         np.testing.assert_array_equal(t1.alphas, t2.alphas)
         assert t1.stop_reason == t2.stop_reason
 
+    def test_csv_rows(self, sq_space):
+        trace = iterate(averaging(2), sq_space, [1.7, 0.4], TIGHT)
+        rows = trace.to_csv_rows()
+        assert rows[0] == ("n", "x", "alpha_n")
+        assert len(rows) == len(trace.points) + 1 and {len(r) for r in rows} == {3}
+        assert rows[2] == ("2", repr(0.4), repr(float(trace.alphas[1])))
+        assert rows[-1][2] == ""  # the last point has no step after it
+
     def test_chain_bound_on_trace_subsequences(self, sq_space):
         trace = iterate(averaging(2), sq_space, [2.0, 0.5], TIGHT)
         rng = np.random.default_rng(0)
