@@ -52,6 +52,7 @@ from .solver import (
     estimate_rate,
     iterate,
     kannan_bounds,
+    kannan_report,
     picard,
     presic_bounds,
 )

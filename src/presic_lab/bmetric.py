@@ -238,6 +238,8 @@ def _sample_windows(space, width, samples, seed, grid_points=None, budget=2_000_
     of grid_points values per axis when it has at most `budget` windows,
     else `samples` windows drawn from that grid.
     """
+    if grid_points is not None and grid_points < 1:
+        raise UsageError(f"grid_points must be >= 1, got {grid_points}")
     box, m = space.domain, space.dimension
     rng = np.random.default_rng(seed)
     axes = None if grid_points is None else np.linspace(box.lo, box.hi, grid_points)

@@ -55,14 +55,10 @@ def cmd_verify(args):
         raise UsageError("problem file has no 'condition' block")
     seed = _seed(args)
     grid = args.grid_points if args.grid else None
-    if prob.condition.kind in contraction.DIAGONAL_KINDS:
-        cert = contraction.verify_diagonal(prob.operator, prob.space, prob.condition,
-                                           args.samples, seed, grid_points=grid,
-                                           strict_domain=args.strict_domain)
-    else:
-        cert = contraction.verify(prob.operator, prob.space, prob.condition,
-                                  args.samples, seed, grid_points=grid,
-                                  strict_domain=args.strict_domain)
+    check = (contraction.verify_diagonal if prob.condition.kind in contraction.DIAGONAL_KINDS
+             else contraction.verify)
+    cert = check(prob.operator, prob.space, prob.condition, args.samples, seed,
+                 grid_points=grid, strict_domain=args.strict_domain)
     _emit(cert.to_dict(), args)
     return 0 if cert.passed else 1
 
@@ -110,22 +106,10 @@ def cmd_bounds(args):
     seed = prob.solve["seed"] if prob.solve and args.seed is None else _seed(args)
     trace = _solve_trace(prob, args, seed)
     if args.eta is not None:
-        report = solver.presic_bounds(trace, args.eta, b, k)
-        payload = report.to_dict()
+        payload = solver.presic_bounds(trace, args.eta, b, k).to_dict()
         payload["alphas"] = [float(v) for v in trace.alphas]
     else:
-        lam = args.a * k * b ** k
-        pts = np.asarray(trace.points)
-        n_pts = len(pts)
-        bounds = [solver.kannan_bounds(args.a, k, b, float(trace.alphas[0]) if len(trace.alphas) else 0.0, n)
-                  for n in range(n_pts)]
-        within = True
-        for n in range(n_pts):
-            d = prob.space.distance_batch(np.repeat(pts[n][None, :], n_pts - n - 1, axis=0), pts[n + 1:])
-            if len(d) and not bool(np.all(bmetric.leq_tol(d, bounds[n]))):
-                within = False
-        payload = {"a": args.a, "lambda": lam, "b_lambda": b * lam,
-                   "tail_bounds": bounds, "all_steps_within": within}
+        payload = solver.kannan_report(trace, prob.space, args.a, k)
     _emit(payload, args)
     return 0
 

@@ -31,8 +31,13 @@ from . import dsl
 from .bmetric import CHUNK, TOL_REL, _renumber, _sample_windows, fold, max_ratio  # re-exports CHUNK
 from .errors import DegenerateDomainError, DomainError, UsageError
 
-WINDOW_KINDS = ("presic_sum", "ciric_max", "lambda_max", "weak_phi", "kannan")
+# kind -> the ConditionSpec field that holds its constant (diagonal_strict has none)
+FIELDS = {"presic_sum": "r", "ciric_max": "kappa", "lambda_max": "lam", "weak_phi": "phi",
+          "kannan": "a", "banach": "eta", "diagonal_strict": None, "diagonal_phi": "phi"}
+# ConditionSpec field -> its key in payloads and problem files
+KEYS = {"r": "r", "kappa": "kappa", "lam": "lambda", "a": "a", "eta": "eta", "phi": "phi"}
 DIAGONAL_KINDS = ("banach", "diagonal_strict", "diagonal_phi")
+WINDOW_KINDS = tuple(kind for kind in FIELDS if kind not in DIAGONAL_KINDS)
 
 
 # --- gauge functions -------------------------------------------------------
@@ -47,24 +52,27 @@ class PhiFunction:
     source: str | None = None
 
     def __post_init__(self):
+        if self.kind not in GAUGES:
+            raise UsageError(f"unknown gauge kind {self.kind!r}")
         if self.kind == "linear" and not 0 < self.c < 1:
             raise UsageError("linear gauge needs 0 < c < 1")
         if not np.isclose(self(0.0), 0.0, atol=1e-15):
             raise UsageError("gauge must satisfy phi(0) = 0")
 
     def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        if self.kind == "linear":
-            out = self.c * t
-        elif self.kind == "paper_piecewise":
-            out = _phi_piecewise(t)
-        elif self.kind == "dsl":
-            out = np.asarray(dsl.evaluate(self.expr, {"t": t}), dtype=float)
-        else:
-            raise UsageError(f"unknown gauge kind {self.kind!r}")
-        if out.ndim == 0:
-            return float(out)
-        return out
+        out = GAUGES[self.kind](self, np.asarray(t, dtype=float))
+        return float(out) if out.ndim == 0 else out
+
+    def to_dict(self):
+        out = {"kind": self.kind, "c": self.c, "expr": self.source}
+        return {key: value for key, value in out.items() if value is not None}
+
+    @classmethod
+    def from_dict(cls, d):
+        """The gauge `d` describes; KeyError names a missing key."""
+        if d["kind"] == "dsl":
+            return dsl_phi(d["expr"])
+        return cls(d["kind"], c=float(d["c"]) if d["kind"] == "linear" else None)
 
 
 def _phi_piecewise(t):
@@ -86,6 +94,12 @@ def _phi_piecewise(t):
         remaining = remaining & ~band
         n += 1
     return out
+
+
+# gauge kind -> phi(gauge, t) for a float array t
+GAUGES = {"linear": lambda phi, t: phi.c * t,
+          "paper_piecewise": lambda phi, t: _phi_piecewise(t),
+          "dsl": lambda phi, t: np.asarray(dsl.evaluate(phi.expr, {"t": t}), dtype=float)}
 
 
 def linear_phi(c):
@@ -113,53 +127,51 @@ class ConditionSpec:
     eta: float | None = None      # banach
 
     def validate(self, k=None, b=None):
-        if self.kind == "presic_sum":
-            r = np.asarray(self.r, dtype=float)
+        """UsageError unless the kind is known and its constant given and in range."""
+        if self.kind not in FIELDS:
+            raise UsageError(f"unknown condition kind {self.kind!r}")
+        field = FIELDS[self.kind]
+        value = None if field is None else getattr(self, field)
+        if field is not None and value is None:
+            raise UsageError(f"{self.kind} needs {KEYS[field]!r}")
+        if field == "r":
+            r = np.asarray(value, dtype=float)
             if k is not None and len(r) != k:
                 raise UsageError("presic_sum needs one r_j per operator slot")
-            if np.any(r < 0) or r.sum() >= 1:
+            if not (np.all(r >= 0) and r.sum() < 1):  # a NaN r_j fails too
                 raise UsageError("presic_sum needs r_j >= 0 and sum r_j < 1")
-        elif self.kind == "ciric_max":
-            if not 0 < self.kappa < 1:
-                raise UsageError("ciric_max needs 0 < kappa < 1")
-        elif self.kind == "lambda_max":
-            if not 0 <= self.lam < 1:
-                raise UsageError("lambda_max needs 0 <= lambda < 1")
-        elif self.kind == "weak_phi" or self.kind == "diagonal_phi":
-            if self.phi is None:
-                raise UsageError(f"{self.kind} needs a gauge function")
-        elif self.kind == "kannan":
-            if self.a < 0:
+        elif field == "a":
+            if value < 0:
                 raise UsageError("kannan needs a >= 0")
-            if k is not None and b is not None and not self.a * k * b ** (k + 1) < 1:
+            if k is not None and b is not None and not value * k * b ** (k + 1) < 1:
                 raise UsageError("kannan needs a*k*b^(k+1) < 1")
-        elif self.kind == "banach":
-            if not 0 <= self.eta < 1:
-                raise UsageError("banach needs 0 <= eta < 1")
-        elif self.kind == "diagonal_strict":
-            pass
-        else:
-            raise UsageError(f"unknown condition kind {self.kind!r}")
+        elif field in ("kappa", "lam", "eta"):  # kappa > 0; lambda and eta may be 0
+            if not (0 < value < 1 or value == 0 and field != "kappa"):
+                low = "0 <" if field == "kappa" else "0 <="
+                raise UsageError(f"{self.kind} needs {low} {KEYS[field]} < 1")
 
     def to_dict(self):
         out = {"kind": self.kind}
-        if self.r is not None:
-            out["r"] = [float(v) for v in self.r]
-        if self.kappa is not None:
-            out["kappa"] = self.kappa
-        if self.lam is not None:
-            out["lambda"] = self.lam
-        if self.a is not None:
-            out["a"] = self.a
-        if self.eta is not None:
-            out["eta"] = self.eta
-        if self.phi is not None:
-            out["phi"] = {"kind": self.phi.kind}
-            if self.phi.c is not None:
-                out["phi"]["c"] = self.phi.c
-            if self.phi.source is not None:
-                out["phi"]["expr"] = self.phi.source
+        for field, key in KEYS.items():
+            value = getattr(self, field)
+            if value is not None:
+                out[key] = (value.to_dict() if field == "phi" else
+                            [float(v) for v in value] if field == "r" else value)
         return out
+
+    @classmethod
+    def from_dict(cls, d):
+        """The spec a payload or problem-file block describes; KeyError names
+        a missing key, ValueError or TypeError a constant that is no number."""
+        if d["kind"] not in FIELDS:
+            raise UsageError(f"unknown condition kind {d['kind']!r}")
+        field = FIELDS[d["kind"]]
+        if field is None:
+            return cls(d["kind"])
+        value = d[KEYS[field]]
+        value = (PhiFunction.from_dict(value) if field == "phi" else
+                 tuple(float(v) for v in value) if field == "r" else float(value))
+        return cls(d["kind"], **{field: value})
 
 
 def presic_sum(r):
@@ -239,15 +251,6 @@ class ContractionCertificate:
         }
 
 
-def _diagonal_max(op, space, windows):
-    """max_i d(x_i, F(x_i)) over the points of each window."""
-    n, width, m = windows.shape
-    flat = windows.reshape(-1, m)
-    with _renumber(lambda row: row // width):
-        diag = space.distance_batch(flat, op.diagonal_batch(flat)).reshape(n, width)
-    return fold(np.maximum, diag, 1)
-
-
 def _count_outside(space, strict_domain, *outputs):
     """How many operator outputs left the domain; DomainError in strict mode."""
     count = sum(len(f) - int(np.count_nonzero(space.domain.contains(f))) for f in outputs)
@@ -256,38 +259,78 @@ def _count_outside(space, strict_domain, *outputs):
     return count
 
 
-def _window_lhs(op, space, windows, strict_domain):
-    """d(f(head), f(tail)) for each window, plus out-of-domain count."""
-    f_head = op.apply_batch(windows[:, :-1])
-    f_tail = op.apply_batch(windows[:, 1:])
-    out_count = _count_outside(space, strict_domain, f_head, f_tail)
-    return space.distance_batch(f_head, f_tail), out_count
+def _images(op, kind, windows):
+    """(F(x), F(y)) for diagonal pairs (x, y), else (f(x_1..x_k), f(x_2..x_{k+1}))."""
+    if kind in DIAGONAL_KINDS:
+        return op.diagonal_batch(windows[:, 0]), op.diagonal_batch(windows[:, 1])
+    return op.apply_batch(windows[:, :-1]), op.apply_batch(windows[:, 1:])
 
 
-def _window_rhs(op, space, cond, windows):
-    if cond.kind == "kannan":
-        return cond.a * _diagonal_max(op, space, windows)
-    # the steps d(x_j, x_{j+1}), on views of the windows
-    steps = space.distance_batch(windows[:, :-1], windows[:, 1:])
-    if cond.kind == "presic_sum":
-        return steps @ np.asarray(cond.r, dtype=float)
-    big = fold(np.maximum, steps, 1)
-    if cond.kind == "weak_phi":
-        return big - cond.phi(big)
-    return (cond.kappa if cond.kind == "ciric_max" else cond.lam) * big
+def _lhs(op, space, kind, windows, strict_domain):
+    """The distance between the two images of each window and how many
+    images left the domain; the images are freed before the base is built."""
+    fa, fb = _images(op, kind, windows)
+    out_count = _count_outside(space, strict_domain, fa, fb)
+    return space.distance_batch(fa, fb), out_count
+
+
+def _window_base(op, space, kind, windows):
+    """What the right-hand side of `kind` is built from, per window: d(x, y)
+    for a diagonal pair, max_i d(x_i, F(x_i)) for kannan, the (N, k) steps
+    d(x_j, x_{j+1}) for presic_sum, else their maximum."""
+    if kind in DIAGONAL_KINDS:
+        return space.distance_batch(windows[:, 0], windows[:, 1])
+    if kind == "kannan":
+        n, width, m = windows.shape
+        flat = windows.reshape(-1, m)
+        with _renumber(lambda row: row // width):
+            diag = space.distance_batch(flat, op.diagonal_batch(flat)).reshape(n, width)
+        return fold(np.maximum, diag, 1)
+    steps = space.distance_batch(windows[:, :-1], windows[:, 1:])  # on views of the windows
+    return steps if kind == "presic_sum" else fold(np.maximum, steps, 1)
+
+
+def _rhs(cond, base):
+    """The right-hand side of `cond` from its `_window_base`."""
+    field = FIELDS[cond.kind]
+    if field == "r":
+        return base @ np.asarray(cond.r, dtype=float)
+    if field == "phi":
+        return base - cond.phi(base)
+    return base if field is None else getattr(cond, field) * base
 
 
 # --- verification ----------------------------------------------------------
 
-def _certify(space, cond, width, evaluate, samples, seed, grid_points, strict=False):
-    """Certificate over the sampled windows, drawn CHUNK at a time:
-    `evaluate(windows)` gives the (windows, lhs, rhs, out_count) it keeps.
-    The first violation in sample order is the witness; slack_min and the
-    out-of-domain count cover every chunk. With strict, ties violate."""
+def _evaluate(op, space, cond, windows, strict_domain):
+    """(windows, lhs, rhs, out_count) of one chunk of `cond`'s windows; for
+    a diagonal kind, the pairs with x = y are dropped first."""
+    keep = None
+    if cond.kind in DIAGONAL_KINDS:
+        base = _window_base(op, space, cond.kind, windows)
+        keep = base > 0
+        if not keep.any():
+            return windows[:0], base[:0], base[:0], 0
+        windows, base = windows[keep], base[keep]
+    with _renumber(lambda row: row if keep is None else np.flatnonzero(keep)[row]):
+        lhs, out_count = _lhs(op, space, cond.kind, windows, strict_domain)
+        if keep is None:
+            base = _window_base(op, space, cond.kind, windows)
+        return windows, lhs, _rhs(cond, base), out_count
+
+
+def _certify(op, space, cond, samples, seed, grid_points, strict_domain):
+    """Certificate of `cond` over its sampled windows, CHUNK at a time: the
+    first violation in sample order is the witness; slack_min and the
+    out-of-domain count cover every chunk. diagonal_strict counts a tie as
+    a violation."""
+    cond.validate(k=op.arity, b=space.b)
+    width = 2 if cond.kind in DIAGONAL_KINDS else op.arity + 1
+    strict = cond.kind == "diagonal_strict"
     count, slack_min, witness, out_of_domain = 0, np.inf, None, 0
     for offset, windows in _sample_windows(space, width, samples, seed, grid_points):
         with _renumber(offset.__add__):
-            windows, lhs, rhs, out_count = evaluate(windows)
+            windows, lhs, rhs, out_count = _evaluate(op, space, cond, windows, strict_domain)
         tol = TOL_REL * (1.0 + np.abs(rhs))
         bad = lhs > rhs + tol
         if strict:
@@ -314,13 +357,7 @@ def verify(op, space, cond, samples, seed, grid_points=None, strict_domain=False
     """
     if cond.kind not in WINDOW_KINDS:
         raise UsageError(f"verify expects a window condition, got {cond.kind!r}")
-    cond.validate(k=op.arity, b=space.b)
-
-    def evaluate(windows):
-        lhs, out_count = _window_lhs(op, space, windows, strict_domain)
-        return windows, lhs, _window_rhs(op, space, cond, windows), out_count
-
-    cert = _certify(space, cond, op.arity + 1, evaluate, samples, seed, grid_points)
+    cert = _certify(op, space, cond, samples, seed, grid_points, strict_domain)
     if cert.samples == 0:
         raise UsageError("verify needs at least one sampled window")
     return cert
@@ -330,27 +367,7 @@ def verify_diagonal(op, space, cond, samples, seed, grid_points=None, strict_dom
     """Check a diagonal condition on sampled pairs x != y."""
     if cond.kind not in DIAGONAL_KINDS:
         raise UsageError(f"verify_diagonal expects a diagonal condition, got {cond.kind!r}")
-    cond.validate(k=op.arity, b=space.b)
-
-    def evaluate(pairs):
-        sep = space.distance_batch(pairs[:, 0], pairs[:, 1])
-        keep = sep > 0
-        if not keep.any():
-            return pairs[:0], sep[:0], sep[:0], 0
-        with _renumber(lambda row: np.flatnonzero(keep)[row]):
-            pairs, sep = pairs[keep], sep[keep]
-            fx = op.diagonal_batch(pairs[:, 0])
-            fy = op.diagonal_batch(pairs[:, 1])
-            out_count = _count_outside(space, strict_domain, fx, fy)
-            lhs = space.distance_batch(fx, fy)
-            if cond.kind == "banach":
-                rhs = cond.eta * sep
-            else:  # diagonal_strict compares with sep itself, a tie violating
-                rhs = sep - cond.phi(sep) if cond.kind == "diagonal_phi" else sep
-        return pairs, lhs, rhs, out_count
-
-    cert = _certify(space, cond, 2, evaluate, samples, seed, grid_points,
-                    strict=cond.kind == "diagonal_strict")
+    cert = _certify(op, space, cond, samples, seed, grid_points, strict_domain)
     if cert.samples == 0:
         raise DegenerateDomainError("no sampled pair has x != y")
     return cert
@@ -361,7 +378,8 @@ def estimate_constant(op, space, kind, samples, seed, grid_points=None):
 
     Returns {'constant_hat', 'witness'} with the supremum of lhs over the
     condition's comparator (its constant stripped) across sampled windows;
-    windows whose comparator vanishes are skipped.
+    windows whose comparator vanishes, banach's x = y pairs among them, are
+    skipped.
     """
     if kind not in ("ciric_max", "banach", "kannan"):
         raise UsageError(f"estimate_constant supports ciric_max|banach|kannan, got {kind!r}")
@@ -370,13 +388,8 @@ def estimate_constant(op, space, kind, samples, seed, grid_points=None):
         width = 2 if kind == "banach" else op.arity + 1
         for offset, windows in _sample_windows(space, width, samples, seed, grid_points):
             with _renumber(offset.__add__):
-                if kind == "banach":
-                    x, y = windows[:, 0], windows[:, 1]
-                    lhs = space.distance_batch(op.diagonal_batch(x), op.diagonal_batch(y))
-                    base = space.distance_batch(x, y)
-                else:
-                    lhs, _ = _window_lhs(op, space, windows, strict_domain=False)
-                    base = _window_rhs(op, space, ConditionSpec(kind, kappa=1.0, a=1.0), windows)
+                lhs = space.distance_batch(*_images(op, kind, windows))
+                base = _window_base(op, space, kind, windows)
             yield windows, lhs, base
 
     best, at = max_ratio(chunks())

@@ -11,9 +11,10 @@ Schema::
       "operator": {"kind": "averaging"|"affine"|"constant"|"dsl", "k": <int>,
                    "weights": [...], "offset": [...], "value": [...],
                    "exprs": ["..."]},
-      "condition": {"kind": ..., "r": [...], "kappa": r, "lambda": r, "a": r,
-                    "eta": r, "phi": {"kind": "linear"|"paper_piecewise"|"dsl",
-                                      "c": r, "expr": "..."}},
+      "condition": {"kind": ..., and the kind's one key (contraction.FIELDS and
+                    KEYS): "r": [...] | "kappa": r | "lambda": r | "a": r |
+                    "eta": r | "phi": {"kind": "linear"|"paper_piecewise"|"dsl",
+                                       "c": r, "expr": "..."}},
       "solve": {"start": [[...], ...] | "random", "seed": <int>,
                 "stop": {"residual_tol": r, "step_tol": r, "max_iterations": n}}
     }
@@ -39,83 +40,37 @@ class ProblemFile:
     solve: dict | None = None  # {"start": (k, m) array | "random", "seed", "stop"}
 
 
+# kind -> builder(cfg, box) of the space a block describes
+SPACES = {
+    "euclidean": lambda cfg, box: bmetric.euclidean(box),
+    "squared_euclidean": lambda cfg, box: bmetric.squared_euclidean(box),
+    "power": lambda cfg, box: bmetric.power(float(cfg["p"]), box),
+    "lp_truncated": lambda cfg, box: bmetric.lp_truncated(float(cfg["p"]), box),
+    "custom_dsl": lambda cfg, box: bmetric.custom(cfg["expr"], box, float(cfg["b"]))}
+# kind -> builder(cfg, k, dimension) of the operator a block describes
+OPERATORS = {
+    "averaging": lambda cfg, k, m: operators.averaging(k, m),
+    "affine": lambda cfg, k, m: operators.affine(cfg["weights"], cfg.get("offset", 0.0), m),
+    "constant": lambda cfg, k, m: operators.constant(cfg["value"], k),
+    "dsl": lambda cfg, k, m: operators.from_dsl(cfg["exprs"], k, m)}
+
+
+def _build(table, what, cfg, *args):
+    if cfg["kind"] not in table:
+        raise UsageError(f"unknown {what} kind {cfg['kind']!r}")
+    return table[cfg["kind"]](cfg, *args)
+
+
 def _load_space(cfg):
-    try:
-        kind = cfg["kind"]
-        box = bmetric.Box(np.asarray(cfg["box"]["lo"], dtype=float),
-                          np.asarray(cfg["box"]["hi"], dtype=float))
-    except KeyError as exc:
-        raise UsageError(f"space block missing field {exc}") from None
-    dim = cfg.get("dim")
-    if dim is not None and dim != box.dimension:
+    box = bmetric.Box(np.asarray(cfg["box"]["lo"], dtype=float),
+                      np.asarray(cfg["box"]["hi"], dtype=float))
+    if cfg.get("dim") is not None and cfg["dim"] != box.dimension:
         raise UsageError("space dim does not match box dimension")
-    if kind == "euclidean":
-        space = bmetric.euclidean(box)
-    elif kind == "squared_euclidean":
-        space = bmetric.squared_euclidean(box)
-    elif kind == "power":
-        space = bmetric.power(cfg["p"], box)
-    elif kind == "lp_truncated":
-        space = bmetric.lp_truncated(cfg["p"], box)
-    elif kind == "custom_dsl":
-        if "b" not in cfg:
-            raise UsageError("custom_dsl space requires a declared b")
-        return bmetric.custom(cfg["expr"], box, cfg["b"])
-    else:
-        raise UsageError(f"unknown space kind {kind!r}")
+    space = _build(SPACES, "space", cfg, box)
     if "b" in cfg:
         space = bmetric.BMetricSpace(space.kind, space.domain, float(cfg["b"]),
                                      p=space.p, expr=space.expr)
     return space
-
-
-def _load_operator(cfg, dimension):
-    try:
-        kind = cfg["kind"]
-    except KeyError:
-        raise UsageError("operator block missing 'kind'") from None
-    k = int(cfg.get("k", 1))
-    if kind == "averaging":
-        return operators.averaging(k, dimension)
-    if kind == "affine":
-        return operators.affine(cfg["weights"], cfg.get("offset", 0.0), dimension)
-    if kind == "constant":
-        return operators.constant(cfg["value"], k)
-    if kind == "dsl":
-        return operators.from_dsl(cfg["exprs"], k, dimension)
-    raise UsageError(f"unknown operator kind {kind!r}")
-
-
-def _load_phi(cfg):
-    kind = cfg.get("kind")
-    if kind == "linear":
-        return contraction.linear_phi(cfg["c"])
-    if kind == "paper_piecewise":
-        return contraction.piecewise_phi()
-    if kind == "dsl":
-        return contraction.dsl_phi(cfg["expr"])
-    raise UsageError(f"unknown phi kind {kind!r}")
-
-
-def _load_condition(cfg):
-    kind = cfg.get("kind")
-    if kind == "presic_sum":
-        return contraction.presic_sum(cfg["r"])
-    if kind == "ciric_max":
-        return contraction.ciric_max(cfg["kappa"])
-    if kind == "lambda_max":
-        return contraction.lambda_max(cfg["lambda"])
-    if kind == "weak_phi":
-        return contraction.weak_phi(_load_phi(cfg["phi"]))
-    if kind == "kannan":
-        return contraction.kannan(cfg["a"])
-    if kind == "banach":
-        return contraction.banach(cfg["eta"])
-    if kind == "diagonal_strict":
-        return contraction.diagonal_strict()
-    if kind == "diagonal_phi":
-        return contraction.diagonal_phi(_load_phi(cfg["phi"]))
-    raise UsageError(f"unknown condition kind {kind!r}")
 
 
 def _load_solve(cfg, op):
@@ -136,19 +91,32 @@ def _load_solve(cfg, op):
     return out
 
 
+# block -> loader(cfg, the blocks loaded before it), in load order
+BLOCKS = {"space": lambda cfg, got: _load_space(cfg),
+          "operator": lambda cfg, got: _build(OPERATORS, "operator", cfg, int(cfg.get("k", 1)),
+                                              got["space"].dimension),
+          "condition": lambda cfg, got: contraction.ConditionSpec.from_dict(cfg),
+          "solve": lambda cfg, got: _load_solve(cfg, got["operator"])}
+
+
 def loads(text):
-    """Parse a problem from JSON text."""
+    """Parse a problem from JSON text. A block with a missing field, a value
+    of the wrong type, or one that is not an object is a UsageError naming
+    the block and the field or value."""
     try:
         cfg = json.loads(text)
     except json.JSONDecodeError as exc:
         raise UsageError(f"malformed problem file: {exc}") from None
-    if "space" not in cfg or "operator" not in cfg:
+    if not isinstance(cfg, dict) or "space" not in cfg or "operator" not in cfg:
         raise UsageError("problem file needs 'space' and 'operator' blocks")
-    space = _load_space(cfg["space"])
-    op = _load_operator(cfg["operator"], space.dimension)
-    condition = _load_condition(cfg["condition"]) if "condition" in cfg else None
-    solve = _load_solve(cfg["solve"], op) if "solve" in cfg else None
-    return ProblemFile(space=space, operator=op, condition=condition, solve=solve)
+    got = {}
+    for name, load_block in BLOCKS.items():
+        try:
+            got[name] = load_block(cfg[name], got) if name in cfg else None
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            why = f" missing field {exc}" if isinstance(exc, KeyError) else f": {exc}"
+            raise UsageError(f"{name} block{why}") from None
+    return ProblemFile(**got)
 
 
 def load(path):

@@ -222,6 +222,20 @@ def kannan_bounds(a, k, b, d01, n):
     return (b * lam) ** n / (1.0 - b * lam) * d01
 
 
+def kannan_report(trace, space, a, k):
+    """The Kannan tail bounds along a Picard `trace` and whether every
+    d(x_n, x_m), m > n, keeps within its n-th bound: the `bounds --a` payload."""
+    b = space.b
+    lam = a * k * b ** k
+    pts = np.asarray(trace.points, dtype=float)
+    d01 = float(trace.alphas[0]) if len(trace.alphas) else 0.0
+    bounds = [kannan_bounds(a, k, b, d01, n) for n in range(len(pts))]
+    within = all(np.all(leq_tol(space.distance_batch(pts[n][None], pts[n + 1:]), bounds[n]))
+                 for n in range(len(pts) - 1))
+    return {"a": a, "lambda": lam, "b_lambda": b * lam, "tail_bounds": bounds,
+            "all_steps_within": within}
+
+
 def estimate_rate(trace):
     """Geometric rate fitted to the tail of the step distances.
 

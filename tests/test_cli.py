@@ -76,6 +76,67 @@ class TestVerifyCommand:
         assert json.loads(out)["condition"]["kind"] == "banach"
 
 
+BOX = {"lo": [0.0], "hi": [1.0]}
+
+
+def _problem(tmp_path, **blocks):
+    cfg = {"space": {"kind": "euclidean", "dim": 1, "box": BOX},
+           "operator": {"kind": "averaging", "k": 1},
+           "condition": {"kind": "ciric_max", "kappa": 0.5}}
+    cfg.update(blocks)
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+class TestMalformedProblemFile:
+    """A malformed block exits 2 with nothing on stdout and names what is wrong."""
+
+    @pytest.mark.parametrize("blocks, named", [
+        ({"space": {"kind": "euclidean"}}, "'box'"),
+        ({"space": {"kind": "power", "box": BOX}}, "'p'"),
+        ({"space": {"kind": "custom_dsl", "b": 1.0, "box": BOX}}, "'expr'"),
+        ({"space": {"kind": "custom_dsl", "expr": "abs(u1 - v1)", "box": BOX}}, "'b'"),
+        ({"operator": {"kind": "affine"}}, "'weights'"),
+        ({"operator": {"kind": "constant"}}, "'value'"),
+        ({"operator": {"kind": "dsl", "k": 1}}, "'exprs'"),
+        ({"condition": {"kind": "presic_sum"}}, "'r'"),
+        ({"condition": {"kind": "ciric_max"}}, "'kappa'"),
+        ({"condition": {"kind": "lambda_max"}}, "'lambda'"),
+        ({"condition": {"kind": "weak_phi"}}, "'phi'"),
+        ({"condition": {"kind": "kannan"}}, "'a'"),
+        ({"condition": {"kind": "banach"}}, "'eta'"),
+        ({"condition": {"kind": "diagonal_phi"}}, "'phi'"),
+        ({"condition": {"kind": "weak_phi", "phi": {"c": 0.5}}}, "'kind'"),
+        ({"condition": {"kind": "weak_phi", "phi": {"kind": "linear"}}}, "'c'"),
+        ({"condition": {"kind": "diagonal_phi", "phi": {"kind": "dsl"}}}, "'expr'"),
+        ({"condition": {"kind": "ciric_max", "kappa": "abc"}}, "'abc'"),
+        ({"space": {"kind": "power", "p": "two", "box": BOX}}, "'two'"),
+        ({"condition": [{"kind": "ciric_max", "kappa": 0.5}]}, "condition block"),
+        ({"operator": "averaging"}, "operator block"),
+    ], ids=[
+        "space-box", "power-p", "custom-expr", "custom-b", "affine-weights", "constant-value",
+        "dsl-exprs", "presic_sum-r", "ciric_max-kappa", "lambda_max-lambda", "weak_phi-phi",
+        "kannan-a", "banach-eta", "diagonal_phi-phi", "phi-kind", "linear-c", "dsl-expr",
+        "kappa-not-a-number", "p-not-a-number", "condition-list", "operator-string"])
+    def test_exits_two_naming_the_fault(self, tmp_path, capsys, blocks, named):
+        code, out = run_cli("verify", _problem(tmp_path, **blocks))
+        assert code == 2
+        assert out == ""
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["verify", "estimate-b"])
+@pytest.mark.parametrize("points", ["-1", "0"])
+def test_grid_points_below_one_is_usage_error(capsys, command, points):
+    code, out = run_cli(command, str(PROBLEMS / "averaging_k1.json"), "--grid",
+                        "--grid-points", points)
+    assert code == 2
+    assert out == ""
+    assert "grid_points must be >= 1" in capsys.readouterr().err
+
+
 class TestSolveCommand:
     def test_averaging_k3_random_starts(self):
         code, out = run_cli("solve", str(PROBLEMS / "averaging_k3.json"))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import json
 import tracemalloc
 
 from presic_lab import (
@@ -32,9 +33,11 @@ from presic_lab import (
     verify_diagonal,
     weak_phi,
 )
+from presic_lab import problem
 from presic_lab.bmetric import TOL_REL
 from presic_lab.contraction import (
     CHUNK,
+    DIAGONAL_KINDS,
     ContractionCertificate,
     ConditionSpec,
     Witness,
@@ -659,3 +662,62 @@ def test_verify_memory_does_not_grow_with_samples(sq_space):
 def test_verify_needs_a_window(sq_space):
     with pytest.raises(UsageError):
         verify(averaging(1), sq_space, ciric_max(0.5), 0, seed=0)
+
+
+# --- one kind table: payloads, problem files, validation ----------------------
+
+GAUGES = {"linear": linear_phi(0.5), "paper_piecewise": piecewise_phi(),
+          "dsl": dsl_phi("t*t/8")}
+SPECS = {
+    "presic_sum": presic_sum([0.3, 0.3]),
+    "ciric_max": ciric_max(0.3),
+    "lambda_max": lambda_max(0.2),
+    "kannan": kannan(0.005),
+    "banach": banach(0.3),
+    "diagonal_strict": diagonal_strict(),
+    **{f"weak_phi-{g}": weak_phi(phi) for g, phi in GAUGES.items()},
+    **{f"diagonal_phi-{g}": diagonal_phi(phi) for g, phi in GAUGES.items()},
+}
+
+
+@pytest.mark.parametrize("name", SPECS)
+def test_condition_round_trips_through_its_dict(name):
+    spec = SPECS[name]
+    assert ConditionSpec.from_dict(spec.to_dict()) == spec
+
+
+@pytest.mark.parametrize("name", SPECS)
+def test_problem_file_condition_verifies_as_the_spec(name):
+    spec = SPECS[name]
+    prob = problem.loads(json.dumps({
+        "space": {"kind": "squared_euclidean", "dim": 1, "box": {"lo": [0.0], "hi": [2.0]}},
+        "operator": {"kind": "averaging", "k": 2},
+        "condition": spec.to_dict()}))
+    assert prob.condition == spec
+    check = verify_diagonal if spec.kind in DIAGONAL_KINDS else verify
+    args = (prob.operator, prob.space)
+    _assert_same_certificate(check(*args, prob.condition, 3000, 4), check(*args, spec, 3000, 4))
+
+
+@pytest.mark.parametrize("kind, key", [
+    ("presic_sum", "'r'"), ("ciric_max", "'kappa'"), ("lambda_max", "'lambda'"),
+    ("weak_phi", "'phi'"), ("kannan", "'a'"), ("banach", "'eta'"), ("diagonal_phi", "'phi'"),
+])
+def test_validate_names_a_missing_constant(kind, key):
+    with pytest.raises(UsageError, match=f"{kind} needs {key}"):
+        ConditionSpec(kind).validate(k=2, b=2.0)
+
+
+def test_validate_unknown_kind():
+    with pytest.raises(UsageError, match="unknown condition kind 'ciric'"):
+        ConditionSpec("ciric").validate()
+    with pytest.raises(UsageError, match="unknown condition kind 'ciric'"):
+        ConditionSpec.from_dict({"kind": "ciric", "kappa": 0.5})
+
+
+@pytest.mark.parametrize("spec", [presic_sum([float("nan"), 0.1]), ciric_max(float("nan")),
+                                  lambda_max(float("nan")), banach(float("nan"))],
+                         ids=lambda spec: spec.kind)
+def test_validate_rejects_a_nan_constant(spec):
+    with pytest.raises(UsageError, match=f"{spec.kind} needs"):
+        spec.validate(k=2, b=2.0)

@@ -20,6 +20,7 @@ from presic_lab import (
     from_dsl,
     iterate,
     kannan_bounds,
+    kannan_report,
     lp_truncated,
     picard,
     power,
@@ -27,6 +28,7 @@ from presic_lab import (
     squared_euclidean,
     verify,
 )
+from presic_lab.bmetric import leq_tol
 from presic_lab.solver import _INITIAL_CAPACITY, DIVERGENCE_FACTOR, IterationTrace
 
 TIGHT = StopRule(residual_tol=1e-20, step_tol=1e-20)
@@ -191,6 +193,46 @@ class TestKannanBounds:
             bound = kannan_bounds(2 / 3, 1, 1.0, d01, n)
             for m in range(n + 1, min(len(pts), 51)):
                 assert eu_space.distance(pts[n], pts[m]) <= bound + 1e-12
+
+
+
+def _reference_kannan_report(trace, space, a, k):
+    # the loop `bounds --a` ran in the CLI, each point repeated per pair
+    b = space.b
+    lam = a * k * b ** k
+    pts = np.asarray(trace.points)
+    d01 = float(trace.alphas[0]) if len(trace.alphas) else 0.0
+    bounds = [kannan_bounds(a, k, b, d01, n) for n in range(len(pts))]
+    within = True
+    for n in range(len(pts)):
+        d = space.distance_batch(np.repeat(pts[n][None, :], len(pts) - n - 1, axis=0), pts[n + 1:])
+        if len(d) and not bool(np.all(leq_tol(d, bounds[n]))):
+            within = False
+    return {"a": a, "lambda": lam, "b_lambda": b * lam, "tail_bounds": bounds,
+            "all_steps_within": within}
+
+
+class TestKannanReport:
+    BOX2 = Box(np.full(2, -2.0), np.full(2, 2.0))
+
+    @pytest.mark.parametrize("space", [
+        euclidean(BOX2), lp_truncated(0.5, BOX2),
+        custom("abs(u1 - v1) + abs(u2 - v2)", BOX2, b=1.0)], ids=lambda s: s.kind)
+    @pytest.mark.parametrize("share", [0.1, 0.9])  # of the largest admissible a
+    def test_matches_the_pairwise_loop(self, space, share):
+        op = affine([0.25, 0.1], offset=[0.1, -0.2], dimension=2)
+        trace = picard(op, space, [1.0, -1.5], MODERATE)
+        k = op.arity
+        a = share / (k * space.b ** (k + 1))
+        assert kannan_report(trace, space, a, k) == _reference_kannan_report(trace, space, a, k)
+
+    def test_reports_a_step_beyond_its_bound(self, eu_space):
+        # the k-step trace of this k=2 map breaks the Picard-scheme bound
+        op = affine([0.05, 0.05])
+        trace = iterate(op, eu_space, [[1.0], [1.0]], MODERATE)
+        report = kannan_report(trace, eu_space, 0.2, 2)
+        assert report == _reference_kannan_report(trace, eu_space, 0.2, 2)
+        assert not report["all_steps_within"]
 
 
 class TestEstimateRate:
