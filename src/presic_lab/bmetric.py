@@ -143,18 +143,24 @@ class BMetricSpace:
     def dimension(self):
         return self.domain.dimension
 
+    @property
+    def distance_name(self):
+        """How errors name this space's distance."""
+        return "custom metric distance" if self.kind == "custom_dsl" else f"{self.kind} distance"
+
     def distance(self, x, y):
         x = as_point(x, self.dimension)
         y = as_point(y, self.dimension)
         return float(self.distance_batch(x[None, :], y[None, :])[0])
 
     def distance_batch(self, xs, ys):
-        """Vectorized distance for (..., m) arrays; returns shape (...)."""
+        """Vectorized distance for (..., m) arrays; returns shape (...).
+        A distance that overflows is a NumericEvalError naming its row."""
         xs = np.atleast_2d(xs)
         ys = np.atleast_2d(ys)
         if xs.shape[-1] != self.dimension or ys.shape[-1] != self.dimension:
             raise UsageError("dimension mismatch in distance")
-        return KERNELS[self.kind](self, xs, ys)
+        return dsl.require_finite(KERNELS[self.kind](self, xs, ys), self.distance_name)
 
 
 def _squared_euclidean(space, xs, ys):
@@ -183,8 +189,7 @@ def _custom_dsl(space, xs, ys):
         env[f"v{i + 1}"] = ys[..., i]
     with np.errstate(over="ignore", invalid="ignore"):
         out = np.asarray(dsl.evaluate(space.expr, env), dtype=float)
-    out = np.broadcast_to(out, xs.shape[:-1]).copy() if out.ndim == 0 else out
-    return dsl.require_finite(out, "custom metric distance")
+    return np.broadcast_to(out, xs.shape[:-1]).copy() if out.ndim == 0 else out
 
 
 # kind -> kernel(space, xs, ys) for float (N, m) arrays already checked

@@ -22,8 +22,10 @@ propagating NaN; on a batch it names the first offending row.
 
 from __future__ import annotations
 
+import functools
+import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -42,12 +44,22 @@ class DslSyntaxError(UsageError):
 _FUNCTIONS = {"abs": 1, "sqrt": 1, "exp": 1, "log": 1, "min": None, "max": None}
 
 _NUMBER_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
+_PUNCTUATION = {**dict.fromkeys("+-*/^", "op"), "(": "lparen", ")": "rparen", ",": "comma"}
 
 
 # --- AST -------------------------------------------------------------------
 
 class Expr:
     """Base class for expression nodes."""
+
+    @functools.cached_property
+    def closure(self):
+        """This tree as nested Python closures, one function env -> value,
+        built on the first evaluation and reused by every later one."""
+        return _closure(self)
+
+    def __reduce__(self):  # pickle the fields, not the closure, which cannot be
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
 @dataclass(frozen=True)
@@ -95,43 +107,25 @@ def _tokenize(source):
     n = len(source)
     while i < n:
         ch = source[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
         if ch.isspace():
-            col += 1
+            line, col = (line + 1, 1) if ch == "\n" else (line, col + 1)
             i += 1
             continue
-        start_col = col
-        if ch.isdigit() or (ch == "." and i + 1 < n and source[i + 1].isdigit()):
-            match = _NUMBER_RE.match(source, i)
-            text = match.group(0)
-            tokens.append(_Token("num", text, line, start_col))
-            col += len(text)
-            i = match.end()
-            continue
-        if ch.isalpha() or ch == "_":
+        number = _NUMBER_RE.match(source, i)
+        if number:
+            kind, text = "num", number.group(0)
+        elif ch.isalpha() or ch == "_":
             j = i
             while j < n and (source[j].isalnum() or source[j] == "_"):
                 j += 1
-            tokens.append(_Token("ident", source[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in "+-*/^":
-            tokens.append(_Token("op", ch, line, start_col))
-        elif ch == "(":
-            tokens.append(_Token("lparen", ch, line, start_col))
-        elif ch == ")":
-            tokens.append(_Token("rparen", ch, line, start_col))
-        elif ch == ",":
-            tokens.append(_Token("comma", ch, line, start_col))
+            kind, text = "ident", source[i:j]
+        elif ch in _PUNCTUATION:
+            kind, text = _PUNCTUATION[ch], ch
         else:
-            raise DslSyntaxError(f"unexpected character {ch!r}", line, start_col)
-        col += 1
-        i += 1
+            raise DslSyntaxError(f"unexpected character {ch!r}", line, col)
+        tokens.append(_Token(kind, text, line, col))
+        col += len(text)
+        i += len(text)
     tokens.append(_Token("end", "", line, col))
     return tokens
 
@@ -156,19 +150,17 @@ class _Parser:
         tok = tok or self.peek()
         raise DslSyntaxError(message, tok.line, tok.column)
 
-    def parse_expression(self):
-        node = self.parse_term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
-            node = BinOp(op, node, self.parse_term())
+    def parse_left_associative(self, ops, parse_operand):
+        node = parse_operand()
+        while self.peek().kind == "op" and self.peek().text in ops:
+            node = BinOp(self.advance().text, node, parse_operand())
         return node
 
+    def parse_expression(self):
+        return self.parse_left_associative("+-", self.parse_term)
+
     def parse_term(self):
-        node = self.parse_unary()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.advance().text
-            node = BinOp(op, node, self.parse_unary())
-        return node
+        return self.parse_left_associative("*/", self.parse_unary)
 
     def parse_unary(self):
         if self.peek().kind == "op" and self.peek().text == "-":
@@ -258,71 +250,79 @@ def _fail(message, bad):
 def require_finite(value, what):
     """Return `value`, raising NumericEvalError at its first non-finite row."""
     finite = np.isfinite(value)
-    if not np.all(finite):
+    if not finite.all():
         _fail(f"non-finite result in {what}", ~finite)
     return value
 
 
+def _guard(func, undefined, message):
+    """`func`, raising NumericEvalError at the first row where `undefined` holds."""
+    def guarded(arg):
+        bad = undefined(np.asarray(arg))
+        if np.any(bad):
+            _fail(message, bad)
+        return func(arg)
+    return guarded
+
+
+def _pow(left, right):
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        out = np.power(np.asarray(left, dtype=float), np.asarray(right, dtype=float))
+    require_finite(out, "power")
+    return float(out) if out.ndim == 0 else out
+
+
+def _exp(arg):
+    with np.errstate(over="ignore"):
+        return require_finite(np.exp(arg), "exp")
+
+
+def _lookup(name, env):
+    try:
+        return env[name]
+    except KeyError:
+        raise UsageError(f"variable {name!r} missing from environment") from None
+
+
+_nonzero = _guard(lambda a: a, lambda a: a == 0, "division by zero")
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "^": _pow,
+           "/": lambda left, right: left / _nonzero(right)}
+_UNARY = {"abs": np.abs, "exp": _exp,
+          "sqrt": _guard(np.sqrt, lambda a: a < 0, "sqrt of a negative value"),
+          "log": _guard(np.log, lambda a: a <= 0, "log of a non-positive value")}
+
+
+def _closure(node):
+    """The function env -> value of `node`. Left operands run before right
+    ones and a variable is looked up when its node runs, so values, errors
+    and the rows they name are those of a walk over the tree."""
+    if isinstance(node, Num):
+        value = node.value
+        return lambda env: value
+    if isinstance(node, Var):
+        return functools.partial(_lookup, node.name)
+    if isinstance(node, Neg):
+        operand = _closure(node.operand)
+        return lambda env: -operand(env)
+    if isinstance(node, BinOp):
+        left, right = _closure(node.left), _closure(node.right)
+        if node.op == "/" and isinstance(node.right, Num) and node.right.value != 0:
+            divisor = node.right.value  # a nonzero literal needs no zero test
+            return lambda env: left(env) / divisor
+        binary = _BINARY[node.op]
+        return lambda env: binary(left(env), right(env))
+    args = [_closure(a) for a in node.args]
+    if node.func in ("min", "max"):
+        ufunc = np.minimum if node.func == "min" else np.maximum
+        return lambda env: functools.reduce(ufunc, [a(env) for a in args])
+    unary, (arg,) = _UNARY[node.func], args
+    return lambda env: unary(arg(env))
+
+
 def evaluate(expr, env):
-    """Evaluate an Expr under ``env`` (name -> float or ndarray)."""
-    if isinstance(expr, Num):
-        return expr.value
-    if isinstance(expr, Var):
-        try:
-            return env[expr.name]
-        except KeyError:
-            raise UsageError(f"variable {expr.name!r} missing from environment") from None
-    if isinstance(expr, Neg):
-        return -evaluate(expr.operand, env)
-    if isinstance(expr, BinOp):
-        left = evaluate(expr.left, env)
-        right = evaluate(expr.right, env)
-        if expr.op == "+":
-            return left + right
-        if expr.op == "-":
-            return left - right
-        if expr.op == "*":
-            return left * right
-        if expr.op == "/":
-            zero = right == 0
-            if np.any(zero):
-                _fail("division by zero", zero)
-            return left / right
-        if expr.op == "^":
-            with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-                out = np.power(np.asarray(left, dtype=float), np.asarray(right, dtype=float))
-            require_finite(out, "power")
-            return float(out) if out.ndim == 0 else out
-        raise AssertionError(expr.op)
-    if isinstance(expr, Call):
-        args = [evaluate(a, env) for a in expr.args]
-        if expr.func == "abs":
-            return np.abs(args[0])
-        if expr.func == "sqrt":
-            negative = np.asarray(args[0]) < 0
-            if np.any(negative):
-                _fail("sqrt of a negative value", negative)
-            return np.sqrt(args[0])
-        if expr.func == "exp":
-            with np.errstate(over="ignore"):
-                return require_finite(np.exp(args[0]), "exp")
-        if expr.func == "log":
-            nonpositive = np.asarray(args[0]) <= 0
-            if np.any(nonpositive):
-                _fail("log of a non-positive value", nonpositive)
-            return np.log(args[0])
-        if expr.func == "min":
-            out = args[0]
-            for a in args[1:]:
-                out = np.minimum(out, a)
-            return out
-        if expr.func == "max":
-            out = args[0]
-            for a in args[1:]:
-                out = np.maximum(out, a)
-            return out
-        raise AssertionError(expr.func)
-    raise AssertionError(type(expr))
+    """Evaluate an Expr under ``env`` (name -> float or ndarray) through
+    its closures, which the first evaluation builds."""
+    return expr.closure(env)
 
 
 def format_expr(expr):

@@ -15,6 +15,7 @@ distance d(u, f(u,..,u)) in a given space.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,6 +41,11 @@ class PresicOperator:
             raise UsageError("operator arity must be >= 1")
         if self.dimension < 1:
             raise UsageError("operator dimension must be >= 1")
+
+    @cached_property
+    def variables(self):
+        """The names x1..xk a DSL body binds to its window's slots."""
+        return dsl.operator_variables(self.arity)
 
     def apply(self, window):
         """Evaluate f on a window of k points; returns one point."""
@@ -87,12 +93,11 @@ def _constant(op, w):
 
 
 def _dsl(op, w):
-    cols = []
+    out = np.empty((len(w), op.dimension))
     for j, expr in enumerate(op.exprs):
-        env = {f"x{i + 1}": w[:, i, j] for i in range(op.arity)}
-        col = np.asarray(dsl.evaluate(expr, env), dtype=float)
-        cols.append(np.broadcast_to(col, (len(w),)))
-    return np.stack(cols, axis=-1)
+        # w.T[j] holds coordinate j of each window slot: row i is w[:, i, j]
+        out[:, j] = dsl.evaluate(expr, dict(zip(op.variables, w.T[j])))
+    return out
 
 
 # kind -> kernel(op, windows) for float64 (N, k, m) windows already checked

@@ -8,7 +8,8 @@ Schema::
                 "p": <real, power/lp only>, "dim": <int>,
                 "box": {"lo": [...], "hi": [...]},
                 "b": <real, optional override>, "expr": "<dsl, custom only>"},
-      "operator": {"kind": "averaging"|"affine"|"constant"|"dsl", "k": <int>,
+      "operator": {"kind": "averaging"|"affine"|"constant"|"dsl",
+                   "k": <int, default 1; affine's default is its weights' count>,
                    "weights": [...], "offset": [...], "value": [...],
                    "exprs": ["..."]},
       "condition": {"kind": ..., and the kind's one key (contraction.FIELDS and
@@ -55,6 +56,20 @@ OPERATORS = {
     "dsl": lambda cfg, k, m: operators.from_dsl(cfg["exprs"], k, m)}
 
 
+def _load_operator(cfg, m):
+    k = cfg.get("k", 1)
+    if isinstance(k, bool) or not (isinstance(k, int) or isinstance(k, float) and k.is_integer()):
+        raise UsageError(f"operator block field 'k' must be an integer, got {k!r}")
+    op = _build(OPERATORS, "operator", cfg, int(k), m)
+    if "k" in cfg and op.arity != k:  # affine takes its arity from its weights
+        raise UsageError(f"operator block field 'k' is {k}, "
+                         f"but the operator it describes has arity {op.arity}")
+    if op.dimension != m:  # the other builders take the space's dimension
+        raise UsageError(f"operator block field 'value' has {op.dimension} "
+                         f"coordinates, the space has dimension {m}")
+    return op
+
+
 def _build(table, what, cfg, *args):
     if cfg["kind"] not in table:
         raise UsageError(f"unknown {what} kind {cfg['kind']!r}")
@@ -93,8 +108,7 @@ def _load_solve(cfg, op):
 
 # block -> loader(cfg, the blocks loaded before it), in load order
 BLOCKS = {"space": lambda cfg, got: _load_space(cfg),
-          "operator": lambda cfg, got: _build(OPERATORS, "operator", cfg, int(cfg.get("k", 1)),
-                                              got["space"].dimension),
+          "operator": lambda cfg, got: _load_operator(cfg, got["space"].dimension),
           "condition": lambda cfg, got: contraction.ConditionSpec.from_dict(cfg),
           "solve": lambda cfg, got: _load_solve(cfg, got["operator"])}
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import bmetric, operators
 from .bmetric import leq_tol
-from .errors import DomainError, UsageError
+from .errors import DomainError, NumericEvalError, UsageError
 
 DIVERGENCE_FACTOR = 1e12
 _INITIAL_CAPACITY = 256  # points a run's buffers hold before their first doubling
@@ -78,9 +78,9 @@ class IterationTrace:
 def _run(op, space, seeds, stop, strict_domain, diagonal):
     """Extend the (s, m) `seeds` one point a step until a stop rule fires.
 
-    The seeds are checked here, once; the steps then run unchecked through
-    the operator and metric kernels on views of float64 buffers that double
-    up to max_iterations. The k-step scheme applies f to the last k points,
+    The seeds are checked here, once; the steps then run through the
+    operator and metric kernels on views of float64 buffers that double up
+    to max_iterations, with one finiteness check per point and per distance. The k-step scheme applies f to the last k points,
     the diagonal scheme to the last point repeated k times.
     """
     if space.dimension != op.dimension:
@@ -98,8 +98,8 @@ def _run(op, space, seeds, stop, strict_domain, diagonal):
     points = np.empty((cap, m))
     alphas = np.empty(cap)
     points[:n] = seeds
-    for i in range(1, n):
-        alphas[i - 1] = d(space, points[i - 1:i], points[i:i + 1])[0]
+    # checked, as every step distance is below
+    alphas[:n - 1] = space.distance_batch(points[:n - 1], points[1:n])
     window = np.empty((1, k, m)) if diagonal else None
     out_of_domain = 0
     stop_reason = "max_iterations"
@@ -119,6 +119,8 @@ def _run(op, space, seeds, stop, strict_domain, diagonal):
             out_of_domain += 1
         points[n] = nxt[0]
         alpha = float(d(space, points[n - 1:n], nxt)[0])
+        if not math.isfinite(alpha):
+            raise NumericEvalError(f"non-finite result in {space.distance_name} alpha_{n}")
         alphas[n - 1] = alpha
         n += 1
         if alpha > DIVERGENCE_FACTOR * (1.0 + alphas[0]):
@@ -239,8 +241,9 @@ def kannan_report(trace, space, a, k):
 def estimate_rate(trace):
     """Geometric rate fitted to the tail of the step distances.
 
-    Least-squares slope of log(alpha_n) over the trailing half of the
-    nonzero alphas, exponentiated; None when fewer than 8 nonzero alphas.
+    Least-squares slope sum((n - mean n)(y - mean y)) / sum((n - mean n)^2)
+    of y = log(alpha_n) over the trailing half of the nonzero alphas,
+    exponentiated; None when fewer than 8 nonzero alphas.
     """
     alphas = np.asarray(trace.alphas, dtype=float)
     mask = alphas > 0
@@ -248,7 +251,9 @@ def estimate_rate(trace):
         return None
     idx = np.nonzero(mask)[0]
     tail = idx[len(idx) // 2:]
-    slope = np.polyfit(tail.astype(float), np.log(alphas[tail]), 1)[0]
+    x = tail - tail.mean()
+    y = np.log(alphas[tail])
+    slope = np.dot(x, y - y.mean()) / np.dot(x, x)
     return float(np.exp(slope))
 
 

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from presic_lab import Box, euclidean, lp_truncated, power, squared_euclidean
+
+# Properties draw the same examples on every run, and a slow example is not
+# a failure on a loaded machine.
+settings.register_profile("tier1", derandomize=True, deadline=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture

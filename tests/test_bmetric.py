@@ -9,14 +9,17 @@ from presic_lab import (
     DegenerateDomainError,
     NumericEvalError,
     UsageError,
+    averaging,
     chain_bound,
     check_axioms,
+    ciric_max,
     custom,
     estimate_b,
     euclidean,
     lp_truncated,
     power,
     squared_euclidean,
+    verify,
 )
 
 from presic_lab.bmetric import CHUNK, TOL_REL, AxiomReport, Violation, as_point, fold, leq_tol
@@ -431,3 +434,33 @@ class TestErrorsNameTheGlobalTriple:
         row = self._first_bad(self.SEED + 1, [(0, 1), (1, 0), (0, 2), (2, 1)])  # (x, y, z)
         with pytest.raises(NumericEvalError, match=rf"sqrt of a negative value \(row {row}\)"):
             check_axioms(self.SPACE, self.SAMPLES, self.SEED)
+
+
+class TestNonFiniteDistances:
+    """A distance that overflows between finite points is a NumericEvalError
+    naming its row, for every metric kind: no check may rest on an inf."""
+
+    BIG = Box(np.zeros(2), np.full(2, 1e200))
+
+    @pytest.mark.parametrize("space", [
+        euclidean(BIG), squared_euclidean(BIG), power(3.0, BIG),
+        lp_truncated(0.5, Box(np.zeros(2), np.full(2, 1e308)))], ids=lambda s: s.kind)
+    def test_names_the_first_overflowing_row(self, space):
+        hi = space.domain.hi
+        xs = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 0.0], hi])
+        ys = np.array([[0.0, 0.0], [1.0, 2.0], hi, [0.0, 0.0]])
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericEvalError,
+                               match=rf"non-finite result in {space.kind} distance \(row 2\)"):
+                space.distance_batch(xs, ys)
+            with pytest.raises(NumericEvalError, match=r"\(row 0\)"):
+                space.distance(xs[3], ys[3])
+
+    def test_sampled_checks_raise_instead_of_reading_nan(self):
+        huge = squared_euclidean(Box([0.0], [1e200]))
+        with np.errstate(over="ignore"):
+            for check in (lambda: estimate_b(huge, 1000, 1),
+                          lambda: check_axioms(huge, 1000, 1),
+                          lambda: verify(averaging(2), huge, ciric_max(0.3), 1000, 1)):
+                with pytest.raises(NumericEvalError, match=r"squared_euclidean distance \(row 0\)"):
+                    check()

@@ -114,11 +114,15 @@ class TestMalformedProblemFile:
         ({"space": {"kind": "power", "p": "two", "box": BOX}}, "'two'"),
         ({"condition": [{"kind": "ciric_max", "kappa": 0.5}]}, "condition block"),
         ({"operator": "averaging"}, "operator block"),
+        ({"operator": {"kind": "affine", "k": 3, "weights": [0.1, 0.2]}}, "'k'"),
+        ({"operator": {"kind": "averaging", "k": 2.7}}, "'k'"),
+        ({"operator": {"kind": "constant", "value": [0.1, 0.2]}}, "'value'"),
     ], ids=[
         "space-box", "power-p", "custom-expr", "custom-b", "affine-weights", "constant-value",
         "dsl-exprs", "presic_sum-r", "ciric_max-kappa", "lambda_max-lambda", "weak_phi-phi",
         "kannan-a", "banach-eta", "diagonal_phi-phi", "phi-kind", "linear-c", "dsl-expr",
-        "kappa-not-a-number", "p-not-a-number", "condition-list", "operator-string"])
+        "kappa-not-a-number", "p-not-a-number", "condition-list", "operator-string",
+        "k-not-the-weights-count", "k-not-an-integer", "value-not-the-space-dimension"])
     def test_exits_two_naming_the_fault(self, tmp_path, capsys, blocks, named):
         code, out = run_cli("verify", _problem(tmp_path, **blocks))
         assert code == 2

@@ -1,15 +1,26 @@
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from presic_lab import NumericEvalError, UsageError
+from presic_lab import NumericEvalError, UsageError, dsl, from_dsl
 from presic_lab.dsl import (
+    BinOp,
+    Call,
     DslSyntaxError,
+    Neg,
+    Num,
+    Var,
+    _fail,
     evaluate,
     format_expr,
     metric_variables,
     operator_variables,
     parse,
+    require_finite,
 )
+from presic_lab.operators import KERNELS
 
 
 def ev(source, variables, **env):
@@ -145,3 +156,180 @@ class TestFormat:
                 for v in xs[1:]:
                     acc = acc + v
                 assert evaluate(expr, env) == acc / (2 * k)
+
+
+# --- the closures against a walk over the tree ---------------------------------
+
+def _reference_evaluate(expr, env):
+    """The tree walker that evaluated every node on every call, kept as the oracle."""
+    if isinstance(expr, Num):
+        return expr.value
+    if isinstance(expr, Var):
+        try:
+            return env[expr.name]
+        except KeyError:
+            raise UsageError(f"variable {expr.name!r} missing from environment") from None
+    if isinstance(expr, Neg):
+        return -_reference_evaluate(expr.operand, env)
+    if isinstance(expr, BinOp):
+        left = _reference_evaluate(expr.left, env)
+        right = _reference_evaluate(expr.right, env)
+        if expr.op == "+":
+            return left + right
+        if expr.op == "-":
+            return left - right
+        if expr.op == "*":
+            return left * right
+        if expr.op == "/":
+            zero = right == 0
+            if np.any(zero):
+                _fail("division by zero", zero)
+            return left / right
+        if expr.op == "^":
+            with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+                out = np.power(np.asarray(left, dtype=float), np.asarray(right, dtype=float))
+            require_finite(out, "power")
+            return float(out) if out.ndim == 0 else out
+        raise AssertionError(expr.op)
+    args = [_reference_evaluate(a, env) for a in expr.args]
+    if expr.func == "abs":
+        return np.abs(args[0])
+    if expr.func == "sqrt":
+        negative = np.asarray(args[0]) < 0
+        if np.any(negative):
+            _fail("sqrt of a negative value", negative)
+        return np.sqrt(args[0])
+    if expr.func == "exp":
+        with np.errstate(over="ignore"):
+            return require_finite(np.exp(args[0]), "exp")
+    if expr.func == "log":
+        nonpositive = np.asarray(args[0]) <= 0
+        if np.any(nonpositive):
+            _fail("log of a non-positive value", nonpositive)
+        return np.log(args[0])
+    out = args[0]
+    for a in args[1:]:
+        out = (np.minimum if expr.func == "min" else np.maximum)(out, a)
+    return out
+
+
+NAMES = ["x1", "x2", "x3"]
+# 0 exercises the division test on a literal; 1e200 and 1e999 (inf) overflow
+_literals = st.builds(Num, st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, 1e-300, 1e200, 1e999]))
+_leaves = st.one_of(_literals, st.builds(Var, st.sampled_from(NAMES)))
+
+
+def _extend(children):
+    return st.one_of(
+        st.builds(Neg, children),
+        st.builds(BinOp, st.sampled_from("+-*/^"), children, children),
+        st.builds(lambda f, a: Call(f, (a,)), st.sampled_from(["abs", "sqrt", "exp", "log"]),
+                  children),
+        st.builds(lambda f, args: Call(f, tuple(args)), st.sampled_from(["min", "max"]),
+                  st.lists(children, min_size=2, max_size=4)))
+
+
+EXPRS = st.recursive(_leaves, _extend, max_leaves=12)
+_values = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 1e200, -1e-300]),
+                    st.floats(-10.0, 10.0))
+# where both operands, or two arguments, fail or tie, only the order tells
+ORDERED = [("log(x1) + sqrt(x2)", {"x1": 0.0, "x2": -1.0}),
+           ("x1/x2 ^ log(x1)", {"x1": 0.0, "x2": 0.0}),
+           ("sqrt(x1) * x3", {"x1": np.array([1.0, -1.0]), "x2": 0.0}),
+           ("x3 - sqrt(x1)", {"x1": -1.0}),
+           ("max(x1, sqrt(x2), log(x3))", {"x1": 0.0, "x2": -1.0, "x3": 0.0}),
+           ("min(x1, x2, x3) + max(x2, x1)", {"x1": np.array([0.0, -0.0]),
+                                              "x2": np.array([-0.0, 0.0]), "x3": 0.0})]
+
+
+@st.composite
+def environments(draw):
+    """Each name present or not, bound to a float or to a 1-row or N-row array."""
+    rows = draw(st.sampled_from([None, 1, 4]))
+    env = {}
+    for name in NAMES:
+        if draw(st.integers(0, 4)) == 0:
+            continue  # a missing variable is an error once its node runs
+        if rows is None:
+            env[name] = draw(_values)
+        else:
+            env[name] = np.array(draw(st.lists(_values, min_size=rows, max_size=rows)))
+    return env
+
+
+def _outcome(run, expr, env):
+    try:
+        with np.errstate(all="ignore"):
+            value = run(expr, env)
+    except (NumericEvalError, UsageError) as err:
+        return type(err), str(err), getattr(err, "row", None)
+    arr = np.asarray(value)
+    return type(value), arr.dtype, arr.shape, arr.tobytes()
+
+
+class TestClosuresMatchTheWalker:
+    @given(EXPRS, environments())
+    @settings(max_examples=300)
+    def test_values_and_errors_are_identical(self, expr, env):
+        assert _outcome(evaluate, expr, env) == _outcome(_reference_evaluate, expr, env)
+
+    @given(EXPRS, st.lists(environments(), min_size=2, max_size=3))
+    def test_a_reused_closure_matches_on_every_environment(self, expr, envs):
+        for env in envs:
+            assert _outcome(evaluate, expr, env) == _outcome(_reference_evaluate, expr, env)
+
+    @pytest.mark.parametrize("source, env", ORDERED)
+    def test_operands_run_left_to_right(self, source, env):
+        expr = parse(source, NAMES)
+        assert _outcome(evaluate, expr, env) == _outcome(_reference_evaluate, expr, env)
+
+    def test_second_evaluate_reuses_the_closure(self, monkeypatch):
+        expr = parse("x1*2 + 1", ["x1"])
+        assert evaluate(expr, {"x1": 1.0}) == 3.0
+        closure = expr.closure
+        monkeypatch.setattr(dsl, "_closure", lambda node: pytest.fail("closure rebuilt"))
+        assert evaluate(expr, {"x1": 2.0}) == 5.0
+        assert expr.closure is closure
+
+    def test_literal_zero_divisor_still_raises_after_the_left_operand(self):
+        with pytest.raises(NumericEvalError, match="sqrt"):
+            ev("sqrt(x1)/0", ["x1"], x1=-1.0)
+        with pytest.raises(NumericEvalError, match="division by zero"):
+            ev("x1/0", ["x1"], x1=1.0)
+
+    def test_an_evaluated_expression_pickles(self):
+        expr = parse("min(x1, 2, 3)/2 - x1^2", ["x1"])
+        before = evaluate(expr, {"x1": 1.5})
+        again = pickle.loads(pickle.dumps(expr))
+        assert again == expr and evaluate(again, {"x1": 1.5}) == before
+
+
+def _reference_dsl(op, w):
+    """operators._dsl as it was: one dict of f-string names, broadcast and stack."""
+    cols = []
+    for j, expr in enumerate(op.exprs):
+        env = {f"x{i + 1}": w[:, i, j] for i in range(op.arity)}
+        col = np.asarray(_reference_evaluate(expr, env), dtype=float)
+        cols.append(np.broadcast_to(col, (len(w),)))
+    return np.stack(cols, axis=-1)
+
+
+@pytest.mark.parametrize("exprs, k", [
+    (["0.5"], 1),
+    (["0.5", "x1 - x2/3"], 2),
+    (["min(x1, x2, x3)", "max(x1, 0.25, x3)^2"], 3),
+    (["2"], 4)])
+@pytest.mark.parametrize("rows", [1, 5])
+def test_dsl_kernel_fills_a_writable_float_array_as_before(exprs, k, rows):
+    op = from_dsl(exprs, k)
+    w = np.random.default_rng(rows).uniform(-1.0, 1.0, size=(rows, k, len(exprs)))
+    got = KERNELS["dsl"](op, w)
+    want = _reference_dsl(op, w)
+    assert got.dtype == np.float64 and got.shape == (rows, len(exprs)) and got.flags.writeable
+    assert got.tobytes() == want.tobytes()
+
+
+def test_non_decimal_digit_is_a_syntax_error():
+    with pytest.raises(DslSyntaxError) as exc:
+        parse("x1 + ²", ["x1"])
+    assert exc.value.column == 6

@@ -415,7 +415,67 @@ class TestReferenceLoop:
                                _reference_iterate(op, space, start, stop))
 
 
+def _polyfit_rate(trace):
+    """estimate_rate as it was, through np.polyfit."""
+    alphas = np.asarray(trace.alphas, dtype=float)
+    idx = np.nonzero(alphas > 0)[0]
+    if len(idx) < 8:
+        return None
+    tail = idx[len(idx) // 2:]
+    return float(np.exp(np.polyfit(tail.astype(float), np.log(alphas[tail]), 1)[0]))
+
+
+def test_closed_form_rate_matches_polyfit(sq_space, eu_space):
+    # every seeded trace of the reference-loop sweep, plus a converged, a
+    # capped and a slowly converging run; measured worst ratio 1.4e-15
+    traces = [iterate(averaging(2), sq_space, [2.0, 1.0], TIGHT),
+              iterate(affine([0.999]), eu_space, [1.5], REFERENCE_STOP),
+              iterate(affine([0.25, 0.25], offset=1.0), eu_space, [0.0, 0.0], MODERATE)]
+    for op in OPERATORS2.values():
+        for space in SPACES2.values():
+            rng = np.random.default_rng(7)
+            for _ in range(3):
+                start = BOX2.sample(rng, op.arity)
+                traces += [iterate(op, space, start, REFERENCE_STOP),
+                           picard(op, space, start[0], REFERENCE_STOP)]
+    fitted = 0
+    for trace in traces:
+        want = _polyfit_rate(trace)
+        if want is None:
+            assert estimate_rate(trace) is None
+            continue
+        assert estimate_rate(trace) == pytest.approx(want, rel=1e-12, abs=0)
+        fitted += 1
+    assert fitted >= 80
+
+
 class TestLoopChecks:
+    def test_seeds_whose_distance_overflows_are_an_error(self):
+        # with an inf first step the divergence rule could never fire
+        huge = squared_euclidean(Box([0.0], [1e200]))
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericEvalError, match=r"squared_euclidean distance \(row 1\)"):
+                iterate(averaging(3), huge, [0.0, 0.0, 1e200])
+
+    def test_a_step_distance_that_turns_nan_is_an_error(self):
+        # finite while u1 = 0, inf - inf = nan from the step that leaves 0
+        space = custom("abs(u1-v1) + u1*1e300*1e300 - u1*1e300*1e300", Box([-1.0], [1.0]), b=1)
+        with pytest.raises(NumericEvalError, match=r"custom metric distance alpha_3$"):
+            iterate(constant([0.5], k=2), space, [0.0, 0.0])
+
+    def test_an_inf_first_step_is_an_error_under_k1_and_picard(self):
+        # alphas[0] is then inf itself, so the divergence rule cannot fire,
+        # and the steps would shrink on until they read 0 and "converge"
+        space = custom("abs(u1-v1)*1e300*1e300", Box([-1.0], [1.0]), b=1)
+        with pytest.raises(NumericEvalError, match=r"custom metric distance alpha_1$"):
+            picard(averaging(1), space, [0.5])
+        with pytest.raises(NumericEvalError, match=r"custom metric distance alpha_1$"):
+            iterate(averaging(1), space, [0.5])
+        huge = squared_euclidean(Box([0.0], [1e200]))
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericEvalError, match=r"squared_euclidean distance alpha_1$"):
+                picard(constant([1e200], k=2), huge, [0.0])
+
     def test_cap_fires_at_max_iterations(self, eu_space):
         for max_iterations in (2, 3, 50, 1e2):
             trace = iterate(affine([0.999, 0.0005]), eu_space, [1.0, 0.5],
