@@ -217,43 +217,43 @@ def cmd_demo(args):
     return 0 if ok else 1
 
 
-def build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--samples", type=int, default=1000)
-    common.add_argument("--out", type=str, default=None)
-    common.add_argument("--format", choices=("json", "csv"), default="json")
-    common.add_argument("--grid", action="store_true",
-                        help="deterministic grid sampling instead of random")
-    common.add_argument("--grid-points", type=int, default=25)
-    common.add_argument("--picard", action="store_true",
-                        help="iterate the diagonal map instead of the k-step scheme")
-    common.add_argument("--strict-domain", action="store_true")
+# option -> its add_argument keywords
+OPTIONS = {
+    "--seed": dict(type=int, default=None),
+    "--samples": dict(type=int, default=1000),
+    "--out": dict(type=str, default=None),
+    "--format": dict(choices=("json", "csv"), default="json"),
+    "--grid": dict(action="store_true", help="deterministic grid sampling instead of random"),
+    "--grid-points": dict(type=int, default=25),
+    "--picard": dict(action="store_true",
+                     help="iterate the diagonal map instead of the k-step scheme"),
+    "--strict-domain": dict(action="store_true"),
+    "--eta": dict(type=float, default=None),
+    "--a": dict(type=float, default=None),
+}
+# subcommand -> (handler, help, positional, the options it reads)
+COMMANDS = {
+    "verify": (cmd_verify, "check a contraction condition", "problem",
+               ("--seed", "--samples", "--out", "--grid", "--grid-points", "--strict-domain")),
+    "solve": (cmd_solve, "run the iteration", "problem",
+              ("--seed", "--out", "--format", "--picard", "--strict-domain")),
+    "bounds": (cmd_bounds, "per-step and tail error bounds", "problem",
+               ("--seed", "--out", "--picard", "--strict-domain", "--eta", "--a")),
+    "estimate-b": (cmd_estimate_b, "empirical relaxation constant", "problem",
+                   ("--seed", "--samples", "--out", "--grid", "--grid-points")),
+    "demo": (cmd_demo, "bundled reproductions", "name", ("--seed", "--samples")),
+}
 
+
+def build_parser():
     parser = argparse.ArgumentParser(prog="presic-lab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("verify", parents=[common], help="check a contraction condition")
-    p.add_argument("problem")
-    p.set_defaults(fn=cmd_verify)
-
-    p = sub.add_parser("solve", parents=[common], help="run the iteration")
-    p.add_argument("problem")
-    p.set_defaults(fn=cmd_solve)
-
-    p = sub.add_parser("bounds", parents=[common], help="per-step and tail error bounds")
-    p.add_argument("problem")
-    p.add_argument("--eta", type=float, default=None)
-    p.add_argument("--a", type=float, default=None)
-    p.set_defaults(fn=cmd_bounds)
-
-    p = sub.add_parser("estimate-b", parents=[common], help="empirical relaxation constant")
-    p.add_argument("problem")
-    p.set_defaults(fn=cmd_estimate_b)
-
-    p = sub.add_parser("demo", parents=[common], help="bundled reproductions")
-    p.add_argument("name")
-    p.set_defaults(fn=cmd_demo)
+    for name, (fn, help_text, positional, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument(positional)
+        for option in options:
+            p.add_argument(option, **OPTIONS[option])
+        p.set_defaults(fn=fn)
     return parser
 
 

@@ -99,7 +99,8 @@ def _phi_piecewise(t):
 # gauge kind -> phi(gauge, t) for a float array t
 GAUGES = {"linear": lambda phi, t: phi.c * t,
           "paper_piecewise": lambda phi, t: _phi_piecewise(t),
-          "dsl": lambda phi, t: np.asarray(dsl.evaluate(phi.expr, {"t": t}), dtype=float)}
+          "dsl": lambda phi, t: dsl.require_finite(
+              np.asarray(dsl.evaluate(phi.expr, {"t": t}), dtype=float), "gauge")}
 
 
 def linear_phi(c):
@@ -259,27 +260,15 @@ def _count_outside(space, strict_domain, *outputs):
     return count
 
 
-def _images(op, kind, windows):
-    """(F(x), F(y)) for diagonal pairs (x, y), else (f(x_1..x_k), f(x_2..x_{k+1}))."""
-    if kind in DIAGONAL_KINDS:
-        return op.diagonal_batch(windows[:, 0]), op.diagonal_batch(windows[:, 1])
-    return op.apply_batch(windows[:, :-1]), op.apply_batch(windows[:, 1:])
-
-
-def _lhs(op, space, kind, windows, strict_domain):
-    """The distance between the two images of each window and how many
-    images left the domain; the images are freed before the base is built."""
-    fa, fb = _images(op, kind, windows)
-    out_count = _count_outside(space, strict_domain, fa, fb)
-    return space.distance_batch(fa, fb), out_count
+def _width(op, kind):
+    """Points per sampled window: a diagonal pair is the two-point window (x, y)."""
+    return 2 if kind in DIAGONAL_KINDS else op.arity + 1
 
 
 def _window_base(op, space, kind, windows):
-    """What the right-hand side of `kind` is built from, per window: d(x, y)
-    for a diagonal pair, max_i d(x_i, F(x_i)) for kannan, the (N, k) steps
-    d(x_j, x_{j+1}) for presic_sum, else their maximum."""
-    if kind in DIAGONAL_KINDS:
-        return space.distance_batch(windows[:, 0], windows[:, 1])
+    """What the right-hand side of `kind` is built from, per window:
+    max_i d(x_i, F(x_i)) for kannan, the (N, k) steps d(x_j, x_{j+1}) for
+    presic_sum, else their maximum, which is d(x, y) for a diagonal pair."""
     if kind == "kannan":
         n, width, m = windows.shape
         flat = windows.reshape(-1, m)
@@ -303,18 +292,26 @@ def _rhs(cond, base):
 # --- verification ----------------------------------------------------------
 
 def _evaluate(op, space, cond, windows, strict_domain):
-    """(windows, lhs, rhs, out_count) of one chunk of `cond`'s windows; for
-    a diagonal kind, the pairs with x = y are dropped first."""
-    keep = None
-    if cond.kind in DIAGONAL_KINDS:
+    """(windows, lhs, rhs, out_count) of one chunk of `cond`'s windows, with
+    lhs the distance between the images of each window: f(x_1..x_k) and
+    f(x_2..x_{k+1}), or F(x) and F(y) for a diagonal pair, whose pairs with
+    x = y are dropped first."""
+    diagonal = cond.kind in DIAGONAL_KINDS
+    if diagonal:
         base = _window_base(op, space, cond.kind, windows)
         keep = base > 0
         if not keep.any():
             return windows[:0], base[:0], base[:0], 0
         windows, base = windows[keep], base[keep]
-    with _renumber(lambda row: row if keep is None else np.flatnonzero(keep)[row]):
-        lhs, out_count = _lhs(op, space, cond.kind, windows, strict_domain)
-        if keep is None:
+    with _renumber(lambda row: np.flatnonzero(keep)[row] if diagonal else row):
+        if diagonal:
+            fa, fb = op.diagonal_batch(windows[:, 0]), op.diagonal_batch(windows[:, 1])
+        else:
+            fa, fb = op.apply_batch(windows[:, :-1]), op.apply_batch(windows[:, 1:])
+        out_count = _count_outside(space, strict_domain, fa, fb)
+        lhs = space.distance_batch(fa, fb)
+        del fa, fb  # freed before the base is built
+        if not diagonal:
             base = _window_base(op, space, cond.kind, windows)
         return windows, lhs, _rhs(cond, base), out_count
 
@@ -325,10 +322,10 @@ def _certify(op, space, cond, samples, seed, grid_points, strict_domain):
     out-of-domain count cover every chunk. diagonal_strict counts a tie as
     a violation."""
     cond.validate(k=op.arity, b=space.b)
-    width = 2 if cond.kind in DIAGONAL_KINDS else op.arity + 1
     strict = cond.kind == "diagonal_strict"
     count, slack_min, witness, out_of_domain = 0, np.inf, None, 0
-    for offset, windows in _sample_windows(space, width, samples, seed, grid_points):
+    for offset, windows in _sample_windows(space, _width(op, cond.kind), samples, seed,
+                                           grid_points):
         with _renumber(offset.__add__):
             windows, lhs, rhs, out_count = _evaluate(op, space, cond, windows, strict_domain)
         tol = TOL_REL * (1.0 + np.abs(rhs))
@@ -378,19 +375,20 @@ def estimate_constant(op, space, kind, samples, seed, grid_points=None):
 
     Returns {'constant_hat', 'witness'} with the supremum of lhs over the
     condition's comparator (its constant stripped) across sampled windows;
-    windows whose comparator vanishes, banach's x = y pairs among them, are
-    skipped.
+    windows whose comparator vanishes are skipped, and banach's x = y pairs
+    are dropped before their images are evaluated, as verify_diagonal does.
     """
     if kind not in ("ciric_max", "banach", "kannan"):
         raise UsageError(f"estimate_constant supports ciric_max|banach|kannan, got {kind!r}")
+    unit = ConditionSpec(kind, **{FIELDS[kind]: 1.0})  # its rhs, 1.0 * comparator, is exact
 
     def chunks():
-        width = 2 if kind == "banach" else op.arity + 1
-        for offset, windows in _sample_windows(space, width, samples, seed, grid_points):
+        for offset, windows in _sample_windows(space, _width(op, kind), samples, seed,
+                                               grid_points):
             with _renumber(offset.__add__):
-                lhs = space.distance_batch(*_images(op, kind, windows))
-                base = _window_base(op, space, kind, windows)
-            yield windows, lhs, base
+                windows, lhs, rhs, _ = _evaluate(op, space, unit, windows, False)
+            if len(windows):  # max_ratio needs a row; banach may drop every pair
+                yield windows, lhs, rhs
 
     best, at = max_ratio(chunks())
     if at is None:

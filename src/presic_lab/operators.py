@@ -4,7 +4,7 @@ Built-in kinds:
 
 * averaging(k): f(x_1,..,x_k) = (x_1 + .. + x_k) / (2k), coordinatewise
 * affine(weights, offset): f = sum_j a_j x_j + c, coordinatewise weights
-* constant(c)
+* constant(c): affine with zero weights and offset c
 * dsl: one expression per output coordinate, in variables x1..xk which
   refer to that coordinate of each window entry
 
@@ -29,9 +29,8 @@ class PresicOperator:
     kind: str
     arity: int
     dimension: int
-    weights: np.ndarray | None = None  # affine, shape (k,)
-    offset: np.ndarray | None = None   # affine, shape (m,)
-    value: np.ndarray | None = None    # constant, shape (m,)
+    weights: np.ndarray | None = None  # affine and constant, shape (k,)
+    offset: np.ndarray | None = None   # affine and constant, shape (m,)
     exprs: tuple | None = None         # dsl, one Expr per output coordinate
 
     def __post_init__(self):
@@ -88,10 +87,6 @@ def _affine(op, w):
     return out + op.offset
 
 
-def _constant(op, w):
-    return np.broadcast_to(op.value, (len(w), op.dimension)).copy()
-
-
 def _dsl(op, w):
     out = np.empty((len(w), op.dimension))
     for j, expr in enumerate(op.exprs):
@@ -102,7 +97,7 @@ def _dsl(op, w):
 
 # kind -> kernel(op, windows) for float64 (N, k, m) windows already checked
 # against the operator's shape; returns (N, m) before the non-finite check
-KERNELS = {"averaging": _averaging, "affine": _affine, "constant": _constant, "dsl": _dsl}
+KERNELS = {"averaging": _averaging, "affine": _affine, "constant": _affine, "dsl": _dsl}
 
 
 def check_finite(out):
@@ -126,9 +121,9 @@ def affine(weights, offset=0.0, dimension=1):
 
 
 def constant(value, k=1):
-    """f identically equal to a fixed point value."""
+    """f identically equal to a fixed point value: zero weights, offset value."""
     v = np.atleast_1d(np.asarray(value, dtype=float))
-    return PresicOperator("constant", k, v.size, value=v)
+    return PresicOperator("constant", k, v.size, weights=np.zeros(k), offset=v)
 
 
 def from_dsl(exprs, k, dimension=None):

@@ -137,10 +137,3 @@ def load(path):
     """Load a problem file from disk."""
     with open(path, "r", encoding="utf-8") as fh:
         return loads(fh.read())
-
-
-def random_starts(problem, count, seed):
-    """`count` seeded random (k, m) start windows inside the domain box."""
-    rng = np.random.default_rng(seed)
-    op, box = problem.operator, problem.space.domain
-    return [box.sample(rng, op.arity) for _ in range(count)]

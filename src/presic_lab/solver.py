@@ -136,7 +136,7 @@ def _run(op, space, seeds, stop, strict_domain, diagonal):
                            out_of_domain=out_of_domain)
     if stop_reason == "converged":
         trace.limit = pts[-1]
-        trace.final_residual = space.distance(trace.limit, op.diagonal_apply(trace.limit))
+        trace.final_residual = res
     trace.fitted_rate = estimate_rate(trace)
     return trace
 

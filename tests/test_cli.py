@@ -141,6 +141,24 @@ def test_grid_points_below_one_is_usage_error(capsys, command, points):
     assert "grid_points must be >= 1" in capsys.readouterr().err
 
 
+class TestEachSubcommandTakesOnlyItsOptions:
+    """An option a subcommand would ignore is argparse's usage error, exit 2."""
+
+    def test_verify_rejects_format(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("verify", str(PROBLEMS / "averaging_k1.json"), "--format", "csv")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --format csv" in capsys.readouterr().err
+
+    def test_demo_rejects_out_and_writes_nothing(self, tmp_path, capsys):
+        out_path = tmp_path / "demo.txt"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("demo", "paper-phi-anomaly", "--out", str(out_path))
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --out" in capsys.readouterr().err
+        assert not out_path.exists()
+
+
 class TestSolveCommand:
     def test_averaging_k3_random_starts(self):
         code, out = run_cli("solve", str(PROBLEMS / "averaging_k3.json"))

@@ -255,6 +255,12 @@ class TestEstimateConstant:
         with pytest.raises(DegenerateDomainError):
             estimate_constant(averaging(1), space, "ciric_max", 100, seed=0)
 
+    def test_degenerate_domain_banach(self):
+        # every pair has x = y, so every chunk is dropped whole
+        space = squared_euclidean(Box(np.ones(1), np.ones(1)))
+        with pytest.raises(DegenerateDomainError):
+            estimate_constant(averaging(1), space, "banach", CHUNK + 1, seed=0)
+
     def test_unknown_kind(self, sq_space):
         with pytest.raises(UsageError):
             estimate_constant(averaging(1), sq_space, "weak_phi", 100, seed=0)
@@ -650,6 +656,62 @@ class TestErrorsNameTheGlobalWindow:
         row = self._first_bad(sq_space, 3, lambda x: x < 1e-4)
         with pytest.raises(NumericEvalError, match=rf"\(row {row}\)"):
             verify(op, sq_space, kannan(0.01), self.SAMPLES, self.SEED)
+
+
+class TestEveryCheckNamesTheSampledWindow:
+    """Images, comparator and gauge of a window are evaluated under the
+    chunk's offset and, for a diagonal pair, the map from kept pairs back to
+    sampled ones, so an error names the window by its sample index."""
+
+    CHECKS = [(verify, weak_phi), (verify_diagonal, diagonal_phi)]
+
+    @pytest.mark.parametrize("check, cond", CHECKS, ids=["verify", "verify_diagonal"])
+    def test_gauge_error_names_the_window(self, sq_space, check, cond):
+        # the gauge is undefined where the comparator d(x_1, x_2) exceeds 3.9
+        phi = dsl_phi("sqrt(3.9 - t) - sqrt(3.9)")
+        windows = _reference_sample_windows(sq_space, 2, 5 * CHUNK, 1)
+        row = np.flatnonzero((windows[:, 0, 0] - windows[:, 1, 0]) ** 2 > 3.9)[0]
+        assert row >= CHUNK
+        with pytest.raises(NumericEvalError, match=rf"sqrt of a negative value \(row {row}\)"):
+            check(averaging(1), sq_space, cond(phi), 5 * CHUNK, 1)
+
+    def test_gauge_error_skips_the_dropped_pairs(self, sq_space):
+        # on the 5-point grid the pairs with x = y are dropped; the first
+        # pair past 3.9 apart is (0, 2), whose index counts them
+        windows = _reference_sample_windows(sq_space, 2, 0, 0, grid_points=5)
+        row = np.flatnonzero((windows[:, 0, 0] - windows[:, 1, 0]) ** 2 > 3.9)[0]
+        assert row > np.flatnonzero(windows[:, 0, 0] == windows[:, 1, 0])[0]
+        with pytest.raises(NumericEvalError, match=rf"sqrt of a negative value \(row {row}\)"):
+            verify_diagonal(averaging(1), sq_space,
+                            diagonal_phi(dsl_phi("sqrt(3.9 - t) - sqrt(3.9)")), 0, 0,
+                            grid_points=5)
+
+    @pytest.mark.parametrize("check, cond", CHECKS, ids=["verify", "verify_diagonal"])
+    def test_non_finite_gauge_is_an_error_not_a_verdict(self, sq_space, check, cond):
+        # inf * 0 is NaN wherever t > 0; the gauge is 0 only at t = 0
+        phi = dsl_phi("t*1e300*1e300*0")
+        windows = _reference_sample_windows(sq_space, 2, 2000, 1)
+        row = np.flatnonzero(windows[:, 0, 0] != windows[:, 1, 0])[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericEvalError,
+                               match=rf"non-finite result in gauge \(row {row}\)"):
+                check(averaging(1), sq_space, cond(phi), 2000, 1)
+
+    @pytest.mark.parametrize("kind, cond", [("ciric_max", ciric_max(0.5)),
+                                            ("kannan", kannan(0.1)),
+                                            ("banach", banach(0.5))])
+    def test_estimate_constant_names_the_window_verify_names(self, kind, cond):
+        # f = 0.1/x1 is undefined at 0; banach drops the pair (0, 0) first
+        op, space = from_dsl("0.1/x1", 1), euclidean(Box(np.zeros(1), np.full(1, 2.0)))
+        windows = _reference_sample_windows(space, 2, 0, 1, grid_points=5)
+        evaluated = windows[:, 0, 0] != windows[:, 1, 0] if kind == "banach" else True
+        row = np.flatnonzero(evaluated & (windows[:, 0, 0] == 0))[0]
+        check = verify_diagonal if kind == "banach" else verify
+        match = rf"division by zero \(row {row}\)"
+        with pytest.raises(NumericEvalError, match=match):
+            estimate_constant(op, space, kind, 0, 1, grid_points=5)
+        with pytest.raises(NumericEvalError, match=match):
+            check(op, space, cond, 0, 1, grid_points=5)
 
 
 def test_verify_memory_does_not_grow_with_samples(sq_space):

@@ -12,6 +12,7 @@ from presic_lab import (
     from_dsl,
     residual,
 )
+from presic_lab.bmetric import CHUNK
 
 
 class TestApply:
@@ -48,6 +49,14 @@ class TestApply:
         op = averaging(2, dimension=3)
         out = op.apply([[1.0, 2.0, 3.0], [3.0, 2.0, 1.0]])
         np.testing.assert_array_equal(out, [1.0, 1.0, 1.0])
+
+    def test_constant_is_its_value_on_every_window(self):
+        # constant is affine with zero weights, under its own kind
+        op = constant([0.7, -1e300], k=3)
+        windows = np.random.default_rng(5).uniform(-1e300, 1e300, size=(CHUNK + 1, 3, 2))
+        assert op.kind == "constant"
+        np.testing.assert_array_equal(op.apply_batch(windows),
+                                      np.tile([0.7, -1e300], (CHUNK + 1, 1)))
 
 
 class TestDiagonal:
