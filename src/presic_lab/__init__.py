@@ -51,6 +51,7 @@ from .solver import (
     cauchy_profile,
     estimate_rate,
     iterate,
+    iterate_many,
     kannan_bounds,
     kannan_report,
     picard,

@@ -131,19 +131,17 @@ def cmd_estimate_b(args):
 def _demo_iteration_example(args):
     rows = []
     ok_all = True
+    box = bmetric.Box(np.zeros(1), np.full(1, 2.0))
+    space = bmetric.squared_euclidean(box)
+    stop = solver.StopRule(residual_tol=1e-20, step_tol=1e-20)
     for k in (1, 2, 3, 5):
-        box = bmetric.Box(np.zeros(1), np.full(1, 2.0))
-        space = bmetric.squared_euclidean(box)
-        op = operators.averaging(k)
         rng = np.random.default_rng(_seed(args))
-        stop = solver.StopRule(residual_tol=1e-20, step_tol=1e-20)
-        worst = 0.0
-        for _ in range(20):
-            start = box.sample(rng, k)
-            trace = solver.iterate(op, space, start, stop)
-            worst = max(worst, float(np.abs(trace.limit).max()) if trace.limit is not None else np.inf)
-            if trace.stop_reason != "converged":
-                ok_all = False
+        # the draws of 20 successive sample(rng, k) calls, in one call
+        starts = box.sample(rng, 20 * k).reshape(20, k, 1)
+        traces = solver.iterate_many(operators.averaging(k), space, starts, stop)
+        worst = max(float(np.abs(t.limit).max()) if t.limit is not None else np.inf
+                    for t in traces)
+        ok_all = ok_all and all(t.stop_reason == "converged" for t in traces)
         ok = worst < 1e-8
         ok_all = ok_all and ok
         rows.append((f"k={k}", "pass" if ok else "FAIL", f"max |limit| = {worst:.3e}"))

@@ -91,10 +91,10 @@ def _load_space(cfg):
 def _load_solve(cfg, op):
     out = {"start": cfg.get("start", "random"), "seed": int(cfg.get("seed", 0))}
     stop_cfg = cfg.get("stop", {})
-    out["stop"] = StopRule(
-        residual_tol=float(stop_cfg.get("residual_tol", 1e-10)),
-        step_tol=float(stop_cfg.get("step_tol", 1e-10)),
-        max_iterations=int(stop_cfg.get("max_iterations", 10 ** 6)),
+    out["stop"] = StopRule(  # which checks the values' types and ranges
+        residual_tol=stop_cfg.get("residual_tol", 1e-10),
+        step_tol=stop_cfg.get("step_tol", 1e-10),
+        max_iterations=stop_cfg.get("max_iterations", 10 ** 6),
     )
     if out["start"] != "random":
         start = np.asarray(out["start"], dtype=float)

@@ -1,10 +1,11 @@
 """k-step iteration x_{n+k} = f(x_n,..,x_{n+k-1}), diagonal Picard iteration,
 convergence detection, empirical rate fitting, and explicit error bounds.
 
-`iterate` and `picard` check their seeds once, at entry; a bad seed is a
-UsageError before any step. The trace of a run holds its points as one
-float64 (n, m) array, seeds included, and its step distances as one
-float64 (n-1,) array.
+`iterate` and `picard` run one start; `iterate_many` runs S starts side by
+side, and each of its traces is the one a single run would return. All three
+check their seeds once, at entry; a bad seed is a UsageError before any
+step. The trace of a run holds its points as one float64 (n, m) array, seeds
+included, and its step distances as one float64 (n-1,) array.
 
 The bound machinery: with theta = eta^(1/k) and
 K = max(alpha_1/theta, .., alpha_k/theta^k) built from the first k
@@ -17,6 +18,7 @@ For the kannan-style scheme with lambda = a k b^k the tail bound is
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,8 +38,16 @@ class StopRule:
     max_iterations: int = 10 ** 6
 
     def __post_init__(self):
-        if self.residual_tol <= 0 or self.step_tol <= 0:
-            raise UsageError("tolerances must be positive")
+        for name in ("residual_tol", "step_tol"):
+            tol = getattr(self, name)
+            # `not tol > 0` also holds for NaN, which no step would ever meet
+            if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not tol > 0:
+                raise UsageError(f"{name} must be a positive number, got {tol!r}")
+        cap = self.max_iterations
+        if isinstance(cap, bool) or not (isinstance(cap, numbers.Integral)
+                                         or isinstance(cap, float) and cap.is_integer()):
+            raise UsageError(f"max_iterations must be an integer, got {cap!r}")
+        object.__setattr__(self, "max_iterations", int(cap))  # buffer sizes must be ints
         if self.max_iterations < 2:
             raise UsageError("max_iterations too small")
 
@@ -76,67 +86,134 @@ class IterationTrace:
 
 
 def _run(op, space, seeds, stop, strict_domain, diagonal):
-    """Extend the (s, m) `seeds` one point a step until a stop rule fires.
+    """Extend each run of the (S, s, m) `seeds` one point a step until a stop
+    rule fires; return the S traces in run order.
 
-    The seeds are checked here, once; the steps then run through the
-    operator and metric kernels on views of float64 buffers that double up
-    to max_iterations, with one finiteness check per point and per distance. The k-step scheme applies f to the last k points,
-    the diagonal scheme to the last point repeated k times.
+    The seeds are checked here, once. Each step then advances every live run
+    with one call each of the operator kernel, the finiteness check,
+    `contains` and the metric kernel, on views of float64 (S, cap, m) and
+    (S, cap) buffers that double up to max_iterations. The k-step scheme
+    applies f to a run's last k points; the diagonal scheme applies it to
+    the last point repeated k times. The stop rules read the step distances
+    as Python floats. When a run stops, its trace is cut out and the buffers
+    keep only the live rows.
+
+    An error names its run. In a kernel error the window or row index is
+    the run's; the other messages end in "in run r" when S > 1.
     """
+    runs, n, m = seeds.shape
     if space.dimension != op.dimension:
         raise UsageError(f"operator dimension {op.dimension} does not match "
                          f"space dimension {space.dimension}")
-    if not np.all(np.isfinite(seeds)):
-        raise UsageError("seed points have non-finite coordinates")
-    k, m = op.arity, op.dimension
-    limit = math.ceil(stop.max_iterations)  # buffer sizes must be ints; 1e6 is not
+    bad = ~np.isfinite(seeds)
+    if bad.any():
+        raise UsageError(_in_run("seed points have non-finite coordinates",
+                                 int(np.argwhere(bad)[0][0]), runs))
+    k, limit = op.arity, stop.max_iterations
     f = operators.KERNELS[op.kind]
     d = bmetric.KERNELS[space.kind]
     inside = space.domain.contains
-    n = len(seeds)
     cap = max(n, min(_INITIAL_CAPACITY, limit))
-    points = np.empty((cap, m))
-    alphas = np.empty(cap)
-    points[:n] = seeds
-    # checked, as every step distance is below
-    alphas[:n - 1] = space.distance_batch(points[:n - 1], points[1:n])
-    window = np.empty((1, k, m)) if diagonal else None
-    out_of_domain = 0
-    stop_reason = "max_iterations"
+    points = np.empty((runs, cap, m))
+    alphas = np.empty((runs, cap))
+    # step-major views of the same buffers: at_step[n] is every row's point n,
+    # and writes through them are the cheapest numpy indexing offers
+    at_step, alphas_at_step = points.swapaxes(0, 1), alphas.T
+    points[:, :n] = seeds
+    try:  # checked, as every step distance is below
+        alphas[:, :n - 1] = space.distance_batch(
+            seeds[:, :-1].reshape(-1, m), seeds[:, 1:].reshape(-1, m)).reshape(runs, n - 1)
+    except NumericEvalError as err:
+        if err.row is None:
+            raise
+        run, pair = divmod(err.row, n - 1)
+        raise NumericEvalError(_in_run(err.template, run, runs), pair) from None
+    if diagonal:  # each run's window views its last point k times
+        last = seeds[:, 0].copy()
+        window = np.broadcast_to(last[:, None], (runs, k, m))
+    ids = list(range(runs))  # the run each buffer row holds
+    out_of_domain = [0] * runs
+    traces = [None] * runs
+    blowup = None  # per row: the step distance past which its run diverged
     while n < limit:
         if n == cap:
             cap = min(2 * cap, limit)
-            points = np.concatenate([points, np.empty((cap - n, m))])
-            alphas = np.concatenate([alphas, np.empty(cap - n)])
+            points = np.concatenate([points, np.empty((len(ids), cap - n, m))], axis=1)
+            alphas = np.concatenate([alphas, np.empty((len(ids), cap - n))], axis=1)
+            at_step, alphas_at_step = points.swapaxes(0, 1), alphas.T
+        if not diagonal:
+            window = points[:, n - k:n]
+        try:
+            nxt = operators.check_finite(f(op, window))
+        except NumericEvalError as err:
+            raise _renumbered(err, ids) from None
+        inside_rows = inside(nxt).tolist()
+        if not all(inside_rows):
+            for r, ok in enumerate(inside_rows):
+                if not ok:
+                    if strict_domain:
+                        raise DomainError(_in_run("iterate left the domain in strict mode",
+                                                  ids[r], runs))
+                    out_of_domain[ids[r]] += 1
+        at_step[n] = nxt
         if diagonal:
-            window[0] = points[n - 1]
-        else:
-            window = points[n - k:n][None]
-        nxt = operators.check_finite(f(op, window))
-        if not inside(nxt)[0]:
-            if strict_domain:
-                raise DomainError("iterate left the domain in strict mode")
-            out_of_domain += 1
-        points[n] = nxt[0]
-        alpha = float(d(space, points[n - 1:n], nxt)[0])
-        if not math.isfinite(alpha):
-            raise NumericEvalError(f"non-finite result in {space.distance_name} alpha_{n}")
-        alphas[n - 1] = alpha
+            last[...] = nxt
+        alpha = d(space, at_step[n - 1], nxt)
+        alphas_at_step[n - 1] = alpha
+        if blowup is None:  # alphas[:, 0] is set from here on
+            blowup = [DIVERGENCE_FACTOR * (1.0 + a) for a in alphas[:, 0].tolist()]
+        stopped = {}
+        for r, a in enumerate(alpha.tolist()):
+            if not math.isfinite(a):
+                raise NumericEvalError(_in_run(
+                    f"non-finite result in {space.distance_name} alpha_{n}", ids[r], runs))
+            if a > blowup[r]:
+                stopped[r] = ("diverged", None)
+            elif a <= stop.step_tol:
+                try:
+                    res = space.distance(nxt[r], op.diagonal_apply(nxt[r]))
+                except NumericEvalError as err:
+                    raise _renumbered(err, [ids[r]]) from None
+                if res <= stop.residual_tol:
+                    stopped[r] = ("converged", res)
         n += 1
-        if alpha > DIVERGENCE_FACTOR * (1.0 + alphas[0]):
-            stop_reason = "diverged"
-            break
-        if alpha <= stop.step_tol:
-            res = space.distance(nxt[0], op.diagonal_apply(nxt[0]))
-            if res <= stop.residual_tol:
-                stop_reason = "converged"
-                break
+        if stopped:
+            for r, (reason, res) in stopped.items():
+                traces[ids[r]] = _trace(points[r], alphas[r], n, reason, res,
+                                        out_of_domain[ids[r]])
+            keep = [r for r in range(len(ids)) if r not in stopped]
+            if not keep:
+                return traces
+            points, alphas = points[keep], alphas[keep]
+            at_step, alphas_at_step = points.swapaxes(0, 1), alphas.T
+            if diagonal:
+                last = last[keep]
+                window = np.broadcast_to(last[:, None], (len(keep), k, m))
+            ids = [ids[r] for r in keep]
+            blowup = [blowup[r] for r in keep]
+    for r, run in enumerate(ids):
+        traces[run] = _trace(points[r], alphas[r], n, "max_iterations", None, out_of_domain[run])
+    return traces
+
+
+def _in_run(message, run, runs):
+    """`message`, naming its run when there is more than one."""
+    return message if runs == 1 else f"{message} in run {run}"
+
+
+def _renumbered(err, ids):
+    """A kernel's NumericEvalError with its batch row replaced by the run
+    that row holds."""
+    return err if err.row is None else NumericEvalError(err.template, ids[err.row])
+
+
+def _trace(points, alphas, n, stop_reason, residual, out_of_domain):
+    """The trace of a run's first n buffered points."""
     pts = points[:n].copy()
-    trace = IterationTrace(pts, alphas[:n - 1].copy(), stop_reason,
-                           out_of_domain=out_of_domain)
+    trace = IterationTrace(pts, alphas[:n - 1].copy(), stop_reason, out_of_domain=out_of_domain)
     if stop_reason == "converged":
         trace.limit = pts[-1]
-        trace.final_residual = res
+        trace.final_residual = residual
     trace.fitted_rate = estimate_rate(trace)
     return trace
 
@@ -153,7 +230,7 @@ def iterate(op, space, initial, stop=None, strict_domain=False):
     if arr.shape != (op.arity, op.dimension):
         raise UsageError(
             f"initial must supply k={op.arity} points of dimension {op.dimension}, got shape {arr.shape}")
-    return _run(op, space, arr, stop, strict_domain, diagonal=False)
+    return _run(op, space, arr[None], stop, strict_domain, diagonal=False)[0]
 
 
 def picard(op, space, x0, stop=None, strict_domain=False):
@@ -162,7 +239,22 @@ def picard(op, space, x0, stop=None, strict_domain=False):
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if x0.shape != (op.dimension,):
         raise UsageError(f"x0 must be one point of dimension {op.dimension}, got shape {x0.shape}")
-    return _run(op, space, x0[None], stop, strict_domain, diagonal=True)
+    return _run(op, space, x0[None, None], stop, strict_domain, diagonal=True)[0]
+
+
+def iterate_many(op, space, starts, stop=None, strict_domain=False, diagonal=False):
+    """Run S iterations side by side from `starts` of shape (S, s, m): k seed
+    points per run for the k-step scheme, one start point (s = 1) for the
+    diagonal scheme. Returns the S traces, each bit-identical to the trace
+    `iterate` (or `picard`) returns from that run's start. An error names
+    its run."""
+    stop = stop or StopRule()
+    arr = np.asarray(starts, dtype=float)
+    s = 1 if diagonal else op.arity
+    if arr.ndim != 3 or len(arr) < 1 or arr.shape[1:] != (s, op.dimension):
+        raise UsageError(f"starts must have shape (S, {s}, {op.dimension}) with S >= 1, "
+                         f"got shape {arr.shape}")
+    return _run(op, space, arr, stop, strict_domain, diagonal)
 
 
 @dataclass

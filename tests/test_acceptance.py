@@ -21,6 +21,7 @@ from presic_lab import (
     estimate_constant,
     euclidean,
     iterate,
+    iterate_many,
     kannan,
     kannan_bounds,
     lp_truncated,
@@ -49,10 +50,10 @@ def test_01_example_reproduction_all_arities():
     box = Box(np.zeros(1), np.full(1, 2.0))
     space = squared_euclidean(box)
     for k in (1, 2, 3, 5):
-        op = averaging(k)
         rng = np.random.default_rng(2026 + k)
-        for _ in range(20):
-            trace = iterate(op, space, box.sample(rng, k), TIGHT)
+        # the starts of 20 successive sample(rng, k) calls, run side by side
+        for trace in iterate_many(averaging(k), space, box.sample(rng, 20 * k).reshape(20, k, 1),
+                                  TIGHT):
             assert trace.stop_reason == "converged"
             assert abs(trace.limit[0]) <= 1e-8
             assert trace.final_residual < 1e-10
@@ -185,9 +186,9 @@ def test_09_uniqueness_probe():
     for op, space, stop in bundles:
         assert verify_diagonal(op, space, diagonal_strict(), 2000, seed=9).passed
         rng = np.random.default_rng(909)
+        starts = space.domain.sample(rng, 20 * op.arity).reshape(20, op.arity, op.dimension)
         limits = []
-        for _ in range(20):
-            trace = iterate(op, space, space.domain.sample(rng, op.arity), stop)
+        for trace in iterate_many(op, space, starts, stop):
             assert trace.stop_reason == "converged"
             limits.append(trace.limit)
         for i in range(len(limits)):

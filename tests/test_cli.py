@@ -207,6 +207,27 @@ class TestSolveCommand:
         assert strip_timestamp(with_key) == strip_timestamp(without)
 
 
+    @pytest.mark.parametrize("stop, named", [
+        ({"residual_tol": float("nan")}, "residual_tol"),
+        ({"step_tol": float("nan")}, "step_tol"),
+        ({"step_tol": True}, "step_tol"),
+        ({"max_iterations": float("inf")}, "max_iterations"),
+        ({"max_iterations": float("nan")}, "max_iterations"),
+        ({"max_iterations": 100.5}, "max_iterations")])
+    def test_bad_stop_rule_is_usage_error(self, tmp_path, capsys, stop, named):
+        # json writes and reads NaN and Infinity as such
+        path = _problem(tmp_path, solve={"start": [[1.0]], "stop": stop})
+        code, out = run_cli("solve", path)
+        assert code == 2 and out == ""
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+
+    def test_integral_float_cap_is_accepted(self, tmp_path):
+        path = _problem(tmp_path, solve={"start": [[1.0]], "stop": {"max_iterations": 1e3}})
+        code, out = run_cli("solve", path)
+        assert code == 0 and json.loads(out)["stop_reason"] == "converged"
+
+
 class TestBoundsCommand:
     def test_eta_bounds(self):
         code, out = run_cli("bounds", str(PROBLEMS / "averaging_k1.json"),
@@ -274,6 +295,20 @@ class TestDemoCommand:
         code, out = run_cli("demo", "paper-phi-anomaly", "--samples", "2000")
         assert code == 0
         assert "falsified" in out
+
+    def test_iteration_example_output_is_pinned(self, monkeypatch):
+        # the 80 runs of this demo go through iterate_many; its output is
+        # the one their 80 single iterate calls printed
+        monkeypatch.delenv("PRESIC_LAB_SEED", raising=False)
+        pinned = {None: ("9.981e-11", "1.716e-10", "1.959e-10", "1.927e-10"),
+                  "7": ("9.560e-11", "1.655e-10", "1.991e-10", "1.947e-10")}
+        for seed, worst in pinned.items():
+            code, out = run_cli("demo", "paper-example-2-1-2", *(("--seed", seed) if seed else ()))
+            assert code == 0
+            assert out == "".join(["demo: paper-example-2-1-2\n"]
+                                  + [f"  k={k}  pass        max |limit| = {w}\n"
+                                     for k, w in zip((1, 2, 3, 5), worst)]
+                                  + ["overall: pass\n"])
 
     def test_bmetric_examples(self):
         code, out = run_cli("demo", "paper-bmetric-examples")

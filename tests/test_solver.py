@@ -1,5 +1,7 @@
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from presic_lab import (
     Box,
@@ -19,6 +21,7 @@ from presic_lab import (
     euclidean,
     from_dsl,
     iterate,
+    iterate_many,
     kannan_bounds,
     kannan_report,
     lp_truncated,
@@ -28,7 +31,7 @@ from presic_lab import (
     squared_euclidean,
     verify,
 )
-from presic_lab.bmetric import leq_tol
+from presic_lab.bmetric import TOL_REL, leq_tol
 from presic_lab.solver import _INITIAL_CAPACITY, DIVERGENCE_FACTOR, IterationTrace
 
 TIGHT = StopRule(residual_tol=1e-20, step_tol=1e-20)
@@ -168,6 +171,96 @@ class TestPresicBounds:
             assert report.all_steps_within
             checked += 1
         assert checked >= 60
+
+
+
+# --- exact oracles for the bound formulas --------------------------------------
+# Each formula is evaluated again at 50 significant digits from the same float
+# inputs. A float result and its exact value must meet the README tolerance
+# rule in both directions.
+
+def _agrees(got, exact):
+    with mpmath.workdps(50):
+        got = mpmath.mpf(float(got))
+        return (got <= exact + TOL_REL * (1 + abs(exact))
+                and exact <= got + TOL_REL * (1 + abs(got)))
+
+
+def _exact_within(alphas, bounds):
+    """Every alpha within its bound under the tolerance rule, in 50 digits."""
+    with mpmath.workdps(50):
+        return all(mpmath.mpf(float(a)) <= r + TOL_REL * (1 + abs(r))
+                   for a, r in zip(alphas, bounds))
+
+
+_ALPHAS = st.lists(st.one_of(st.just(0.0), st.floats(1e-12, 1e2)), min_size=6, max_size=60)
+
+
+class TestExactBoundOracles:
+    @given(eta=st.floats(0.01, 0.99), b=st.floats(1.0, 8.0), k=st.integers(1, 6),
+           alphas=_ALPHAS, scale=st.floats(0.5, 3.0))
+    def test_presic_bounds(self, eta, b, k, alphas, scale):
+        class Trace:  # all presic_bounds reads of a trace
+            pass
+        Trace.alphas = np.array(alphas)
+        report = presic_bounds(Trace, eta=eta, b=b, k=k)
+        with mpmath.workdps(50):
+            theta = mpmath.mpf(eta) ** (mpmath.mpf(1) / k)
+            K = max(mpmath.mpf(a) / theta ** (i + 1) for i, a in enumerate(alphas[:k]))
+            per_step = [mpmath.mpf(b) ** k * K * theta ** n for n in range(1, len(alphas) + 1)]
+            tail = mpmath.mpf(b) ** 2 * K * theta ** 3 / (1 - theta)
+        assert _agrees(report.theta, theta) and _agrees(report.K, K)
+        assert all(_agrees(got, want) for got, want in zip(report.per_step_bounds, per_step))
+        assert _agrees(report.tail_bound(3, 2), tail)
+        assert report.all_steps_within == _exact_within(alphas, per_step)
+        # the same first k steps, so the same bounds, and later steps scaled
+        # around their bounds
+        Trace.alphas = np.array(alphas[:k] + [float(r) * scale for r in per_step[k:]])
+        scaled = presic_bounds(Trace, eta=eta, b=b, k=k)
+        assert scaled.all_steps_within == _exact_within(Trace.alphas, per_step)
+
+    # bλ at most 0.999 and n at most 200 keep 1/(1 - bλ) and (bλ)^n within
+    # what double precision resolves to the 1e-9 of the rule
+    @given(share=st.floats(0.0, 0.999), b=st.floats(1.0, 4.0), k=st.integers(1, 5),
+           d01=st.floats(0.0, 1e3), n=st.integers(0, 200))
+    def test_kannan_bounds(self, share, b, k, d01, n):
+        a = share / (k * b ** (k + 1))
+        with mpmath.workdps(50):
+            b_lambda = mpmath.mpf(a) * k * mpmath.mpf(b) ** (k + 1)
+            if not b_lambda < 1:  # a*k*b^(k+1) rounded up to 1
+                return
+            exact = b_lambda ** n / (1 - b_lambda) * mpmath.mpf(d01)
+        assert _agrees(kannan_bounds(a, k, b, d01, n), exact)
+
+    @given(data=st.data(), metric=st.sampled_from(["euclidean", "squared_euclidean",
+                                                    "power", "lp_truncated"]),
+           m=st.integers(1, 3), length=st.integers(2, 20))
+    def test_chain_bound(self, data, metric, m, length):
+        box = Box(np.full(m, -2.0), np.full(m, 2.0))
+        p = data.draw(st.floats(1.1, 4.0) if metric == "power" else st.floats(0.2, 0.9))
+        space = {"euclidean": lambda: euclidean(box), "squared_euclidean": lambda: squared_euclidean(box),
+                 "power": lambda: power(p, box), "lp_truncated": lambda: lp_truncated(p, box)}[metric]()
+        pts = np.array(data.draw(st.lists(st.lists(st.floats(-2.0, 2.0), min_size=m, max_size=m),
+                                          min_size=length, max_size=length)))
+        with mpmath.workdps(50):
+            P = mpmath.mpf(p)
+
+            def dist(x, y):
+                diffs = [mpmath.mpf(u) - mpmath.mpf(v) for u, v in zip(x, y)]
+                if metric == "lp_truncated":
+                    total = sum(abs(t) ** P for t in diffs)
+                    return total ** (1 / P) if total else mpmath.mpf(0)
+                sq = sum(t * t for t in diffs)
+                return {"euclidean": mpmath.sqrt(sq), "squared_euclidean": sq,
+                        "power": mpmath.sqrt(sq) ** P}[metric]
+
+            b, n = mpmath.mpf(space.b), length - 1
+            steps = [dist(pts[j - 1], pts[j]) for j in range(1, n + 1)]
+            rhs = sum(b ** j * steps[j - 1] for j in range(1, n)) + b ** (n - 1) * steps[-1]
+            lhs = dist(pts[0], pts[-1])
+        got = chain_bound(space, pts)
+        assert _agrees(got["lhs"], lhs) and _agrees(got["rhs"], rhs)
+        assert got["holds"] == _exact_within([got["lhs"]], [rhs])
 
 
 class TestKannanBounds:
@@ -415,6 +508,123 @@ class TestReferenceLoop:
                                _reference_iterate(op, space, start, stop))
 
 
+
+def _assert_matches_single_runs(op, space, starts, stop, diagonal=False, strict_domain=False):
+    """iterate_many against one iterate/picard call and one reference run per start."""
+    got = iterate_many(op, space, starts, stop, strict_domain=strict_domain, diagonal=diagonal)
+    assert len(got) == len(starts)
+    for trace, start in zip(got, starts):
+        if diagonal:
+            _assert_same_trace(trace, picard(op, space, start[0], stop, strict_domain))
+            _assert_same_trace(trace, _reference_picard(op, space, start[0], stop))
+        else:
+            _assert_same_trace(trace, iterate(op, space, start, stop, strict_domain))
+            _assert_same_trace(trace, _reference_iterate(op, space, start, stop))
+    return got
+
+
+class TestIterateMany:
+    @pytest.mark.parametrize("metric", sorted(SPACES2))
+    @pytest.mark.parametrize("kind", sorted(OPERATORS2))
+    def test_each_trace_is_its_single_run(self, kind, metric):
+        op, space = OPERATORS2[kind], SPACES2[metric]
+        rng = np.random.default_rng(8)
+        starts = BOX2.sample(rng, 6 * op.arity).reshape(6, op.arity, 2)
+        _assert_matches_single_runs(op, space, starts, REFERENCE_STOP)
+        _assert_matches_single_runs(op, space, starts[:, :1], REFERENCE_STOP, diagonal=True)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_runs_that_stop_at_different_steps(self, k):
+        # x -> x^2 (k=1) or x1*x2 (k=2): below 1 the runs converge, above 1
+        # they diverge, and just below 1 they are still moving at the cap
+        op = from_dsl("x1*x1" if k == 1 else "x1*x2", k)
+        space = euclidean(Box([-4.0], [4.0]))
+        firsts = [0.5, 0.9, 1.0, 1.5, 1.1, 1 - 1e-15, -0.3, 0.0]
+        starts = np.repeat(np.array(firsts)[:, None, None], k, axis=1)
+        stop = StopRule(residual_tol=1e-20, step_tol=1e-20, max_iterations=40)
+        got = _assert_matches_single_runs(op, space, starts, stop)
+        assert {t.stop_reason for t in got} == {"converged", "diverged", "max_iterations"}
+        assert len({len(t) for t in got}) >= 5
+        if k == 1:
+            _assert_matches_single_runs(op, space, starts, stop, diagonal=True)
+
+    def test_growth_past_initial_capacity(self, eu_space):
+        # the run from 0 stops at once, so the buffers drop a row before they
+        # double; the other two run to the cap
+        op = affine([0.999])
+        stop = StopRule(max_iterations=3 * _INITIAL_CAPACITY + 7)
+        got = _assert_matches_single_runs(op, eu_space, np.array([[[1.5]], [[0.0]], [[-1.2]]]), stop)
+        assert [len(t) for t in got] == [stop.max_iterations, 2, stop.max_iterations]
+
+    def test_one_run_is_iterate(self, sq_space):
+        for op, start in [(averaging(2), [[2.0], [1.3]]), (averaging(1), [[2.0]])]:
+            got, = iterate_many(op, sq_space, [start], TIGHT)
+            _assert_same_trace(got, iterate(op, sq_space, start, TIGHT))
+
+    def test_out_of_domain_counted_per_run(self, eu_space):
+        op = affine([0.5], offset=1.9)  # leaves [-2, 2] on its way to 3.8
+        starts = np.array([[[0.0]], [[3.8]], [[-2.0]]])
+        got = _assert_matches_single_runs(op, eu_space, starts, MODERATE)
+        assert got[0].out_of_domain > 0 and got[2].out_of_domain > 0
+
+    def test_wrongly_shaped_starts_are_usage_errors(self, eu_space):
+        op = averaging(2)
+        for bad in (np.zeros((3, 2)), np.zeros((3, 1, 1)), np.zeros((3, 2, 2)),
+                    np.zeros((0, 2, 1)), np.zeros((2, 3, 2, 1))):
+            with pytest.raises(UsageError):
+                iterate_many(op, eu_space, bad)
+        with pytest.raises(UsageError):
+            iterate_many(op, eu_space, np.zeros((3, 2, 1)), diagonal=True)
+
+    def test_non_finite_seed_names_its_run(self, eu_space):
+        starts = np.zeros((4, 2, 1))
+        starts[3, 1, 0] = np.nan
+        with pytest.raises(UsageError, match=r"non-finite coordinates in run 3$"):
+            iterate_many(averaging(2), eu_space, starts)
+
+    def test_seed_distance_error_names_its_run_and_pair(self):
+        huge = squared_euclidean(Box([0.0], [1e200]))
+        starts = np.zeros((3, 3, 1))
+        starts[2, 2, 0] = 1e200
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericEvalError, match=r"distance \(row 1\) in run 2$"):
+                iterate_many(averaging(3), huge, starts)
+
+    def test_non_finite_operator_output_names_its_run(self):
+        # run 0 stops at once and run 1 diverges, so run 2 sits in row 0
+        # when 10*x2 overflows: the divergence rule never fires for it, as
+        # its seed distance of 1e300 puts the threshold at inf
+        op = from_dsl("10*x2", 2)
+        space = custom("abs(u1-v1)", Box([-2.0], [2.0]), b=1)
+        starts = np.array([[[0.0], [0.0]], [[0.5], [0.25]], [[1e300], [1.0]]])
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericEvalError, match=r"coordinate 0 \(window 2\)$"):
+                iterate_many(op, space, starts)
+            with pytest.raises(NumericEvalError, match=r"coordinate 0 \(window 0\)$"):
+                iterate(op, space, starts[2])
+
+    def test_nan_step_distance_names_its_run(self):
+        # the distance turns NaN once u1 > 1.5: run 2 gets there at its
+        # fifth step, after run 0 has stopped and while run 1 goes on
+        space = custom("abs(u1-v1) + max(u1-1.5, 0)*1e300*1e300 - max(u1-1.5, 0)*1e300*1e300",
+                       Box([-2.0], [2.0]), b=1)
+        op = from_dsl("2*x1", 1)
+        starts = np.array([[[0.0]], [[-0.1]], [[0.1]]])
+        with pytest.raises(NumericEvalError, match=r"custom metric distance alpha_5 in run 2$"):
+            iterate_many(op, space, starts)
+        with pytest.raises(NumericEvalError, match=r"custom metric distance alpha_5$"):
+            iterate(op, space, starts[2])
+
+    def test_strict_domain_names_its_run(self, eu_space):
+        # run 0 converges at once; run 2 leaves [-2, 2] at its second step
+        op = from_dsl("x1*x1", 1)
+        starts = np.array([[[0.0]], [[0.5]], [[1.2]]])
+        with pytest.raises(DomainError, match=r"strict mode in run 2$"):
+            iterate_many(op, eu_space, starts, MODERATE, strict_domain=True)
+        with pytest.raises(DomainError, match=r"strict mode$"):
+            iterate(op, eu_space, starts[2], MODERATE, strict_domain=True)
+
+
 def _polyfit_rate(trace):
     """estimate_rate as it was, through np.polyfit."""
     alphas = np.asarray(trace.alphas, dtype=float)
@@ -507,6 +717,24 @@ class TestLoopChecks:
                 iterate(blowup, eu_space, [1e150])
             with pytest.raises(NumericEvalError, match=r"coordinate 0 \(window 0\)"):
                 picard(blowup, eu_space, [1e150])
+
+
+
+class TestStopRule:
+    @pytest.mark.parametrize("fields", [
+        {"residual_tol": np.nan}, {"step_tol": np.nan}, {"residual_tol": 0.0},
+        {"step_tol": -1e-3}, {"residual_tol": True}, {"step_tol": "1e-10"},
+        {"max_iterations": np.inf}, {"max_iterations": -np.inf},
+        {"max_iterations": np.nan}, {"max_iterations": 100.5}, {"max_iterations": True},
+        {"max_iterations": "100"}, {"max_iterations": 1}])
+    def test_rejects_what_no_run_could_meet_or_count(self, fields):
+        with pytest.raises(UsageError):
+            StopRule(**fields)
+
+    @pytest.mark.parametrize("cap", [1e6, 1e2, np.float64(50.0), np.int64(50), 7])
+    def test_integral_caps_become_ints(self, cap):
+        rule = StopRule(max_iterations=cap)
+        assert rule.max_iterations == int(cap) and type(rule.max_iterations) is int
 
 
 SEED_OPERATORS = {
