@@ -9,8 +9,8 @@ lower witness for the true b. On a dense grid the estimate is sharp:
 * the truncated l^p distance with 0 < p < 1 in dimension m has b <= m^(1/p-1)
 
 check_axioms does the complementary job: it samples (or enumerates) triples
-and reports any violation of symmetry, identity, or the relaxed triangle
-inequality at the declared b.
+and counts the violations of symmetry, identity, and the relaxed triangle
+inequality at the declared b, keeping the first and the worst of each.
 
 Run with:  python3 demos/03_bmetric_constants.py
 """

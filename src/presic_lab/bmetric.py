@@ -116,11 +116,13 @@ class Violation:
 @dataclass
 class AxiomReport:
     checked_triples: int
-    violations: list[Violation] = field(default_factory=list)
+    counts: dict[str, int]  # each of b1, b2 and b3 -> how many checks violated it
+    first: dict[str, Violation]  # each violated axiom -> its first violation in sample order
+    worst: dict[str, Violation]  # ... -> its largest |lhs - rhs|, the first of those on ties
 
     @property
     def ok(self):
-        return not self.violations
+        return not any(self.counts.values())
 
 
 @dataclass(frozen=True)
@@ -241,7 +243,7 @@ def _sample_windows(space, width, samples, seed, grid_points=None, budget=2_000_
 
     Windows are uniform in the box; with grid_points they are the full grid
     of grid_points values per axis when it has at most `budget` windows,
-    else `samples` windows drawn from that grid.
+    else `samples` windows drawn from that grid; a sample of none is a UsageError.
     """
     if grid_points is not None and grid_points < 1:
         raise UsageError(f"grid_points must be >= 1, got {grid_points}")
@@ -250,6 +252,8 @@ def _sample_windows(space, width, samples, seed, grid_points=None, budget=2_000_
     axes = None if grid_points is None else np.linspace(box.lo, box.hi, grid_points)
     full = grid_points is not None and grid_points ** (width * m) <= budget
     total = grid_points ** (width * m) if full else samples
+    if total < 1:
+        raise UsageError(f"samples must be >= 1 when no full grid is checked, got {samples}")
     for start in range(0, total, CHUNK):
         count = min(CHUNK, total - start)
         if grid_points is None:
@@ -299,17 +303,26 @@ def check_axioms(space, sample_count, seed, grid_points=None, max_triples=2_000_
     grid_points set, the points and the ordered triples are every one the
     grid has when their count is within max_triples, else drawn from it.
     """
-    if grid_points is None and sample_count < 1:
-        raise UsageError("sample_count must be >= 1")
-    b1, b2, b3, checked = [], [], [], 0
+    counts, first, worst = dict.fromkeys(("b1", "b2", "b3"), 0), {}, {}
+
+    def tally(axiom, bad, lhs, rhs, *points):  # folds one chunk's violations of `axiom`
+        rows = np.flatnonzero(bad)
+        if len(rows):
+            gap = np.abs(lhs[rows] - rhs[rows])
+            at = [Violation(axiom, tuple(tuple(p[i]) for p in points), float(lhs[i]), float(rhs[i]))
+                  for i in (rows[0], rows[np.argmax(gap)])]  # the chunk's first and worst
+            counts[axiom] += len(rows)
+            first.setdefault(axiom, at[0])
+            if axiom not in worst or gap.max() > abs(worst[axiom].lhs - worst[axiom].rhs):
+                worst[axiom] = at[1]
+
     # b1: d(x,x) = 0 for every sampled point
     for offset, w in _sample_windows(space, 1, sample_count, seed, grid_points, max_triples):
         with _renumber(offset.__add__):
             self_d = space.distance_batch(w[:, 0], w[:, 0])
-        for i in np.flatnonzero(~leq_tol(self_d, 0.0)):
-            b1.append(Violation("b1", (tuple(w[i, 0]),), float(self_d[i]), 0.0))
+        tally("b1", ~leq_tol(self_d, 0.0), self_d, np.zeros_like(self_d), w[:, 0])
 
-    seed = seed + 1 if seed is not None else None
+    checked, seed = 0, seed + 1 if seed is not None else None
     for offset, w in _sample_windows(space, 3, sample_count, seed, grid_points, max_triples):
         xs, ys, zs = w[:, 0], w[:, 1], w[:, 2]
         with _renumber(offset.__add__):
@@ -317,21 +330,14 @@ def check_axioms(space, sample_count, seed, grid_points=None, max_triples=2_000_
             d_yx = space.distance_batch(ys, xs)
             d_xz = space.distance_batch(xs, zs)
             d_zy = space.distance_batch(zs, ys)
-
         # b2: symmetry on the (x, y) pairs
-        asym = np.abs(d_xy - d_yx) > TOL_REL * (1.0 + np.abs(d_xy))
-        for i in np.flatnonzero(asym):
-            b2.append(Violation("b2", (tuple(xs[i]), tuple(ys[i])),
-                                float(d_xy[i]), float(d_yx[i])))
-
+        tally("b2", np.abs(d_xy - d_yx) > TOL_REL * (1.0 + np.abs(d_xy)), d_xy, d_yx, xs, ys)
         # b3: relaxed triangle inequality against the declared b
         rhs = space.b * (d_xz + d_zy)
-        for i in np.flatnonzero(~leq_tol(d_xy, rhs)):
-            b3.append(Violation("b3", (tuple(xs[i]), tuple(zs[i]), tuple(ys[i])),
-                                float(d_xy[i]), float(rhs[i])))
+        tally("b3", ~leq_tol(d_xy, rhs), d_xy, rhs, xs, zs, ys)
         checked += len(w)
 
-    return AxiomReport(checked_triples=checked, violations=b1 + b2 + b3)
+    return AxiomReport(checked, counts, first, worst)
 
 
 def estimate_b(space, sample_count, seed, grid_points=None, max_triples=2_000_000):
@@ -342,9 +348,6 @@ def estimate_b(space, sample_count, seed, grid_points=None, max_triples=2_000_00
     time, and witness attains it. Triples with a zero denominator are skipped; if every triple is
     degenerate the domain has collapsed and DegenerateDomainError is raised.
     """
-    if grid_points is None and sample_count < 1:
-        raise UsageError("sample_count must be >= 1")
-
     def chunks():
         for offset, w in _sample_windows(space, 3, sample_count, seed, grid_points, max_triples):
             x, z, y = w[:, 0], w[:, 1], w[:, 2]

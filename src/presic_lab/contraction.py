@@ -24,6 +24,7 @@ window that re-evaluates to a violation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -291,11 +292,12 @@ def _rhs(cond, base):
 
 # --- verification ----------------------------------------------------------
 
-def _evaluate(op, space, cond, windows, strict_domain):
+def _evaluate(op, space, cond, windows, count_outside):
     """(windows, lhs, rhs, out_count) of one chunk of `cond`'s windows, with
     lhs the distance between the images of each window: f(x_1..x_k) and
     f(x_2..x_{k+1}), or F(x) and F(y) for a diagonal pair, whose pairs with
-    x = y are dropped first."""
+    x = y are dropped first. out_count is `count_outside(*images)`, called
+    before any distance of the images."""
     diagonal = cond.kind in DIAGONAL_KINDS
     if diagonal:
         base = _window_base(op, space, cond.kind, windows)
@@ -308,7 +310,7 @@ def _evaluate(op, space, cond, windows, strict_domain):
             fa, fb = op.diagonal_batch(windows[:, 0]), op.diagonal_batch(windows[:, 1])
         else:
             fa, fb = op.apply_batch(windows[:, :-1]), op.apply_batch(windows[:, 1:])
-        out_count = _count_outside(space, strict_domain, fa, fb)
+        out_count = count_outside(fa, fb)
         lhs = space.distance_batch(fa, fb)
         del fa, fb  # freed before the base is built
         if not diagonal:
@@ -324,10 +326,11 @@ def _certify(op, space, cond, samples, seed, grid_points, strict_domain):
     cond.validate(k=op.arity, b=space.b)
     strict = cond.kind == "diagonal_strict"
     count, slack_min, witness, out_of_domain = 0, np.inf, None, 0
+    count_outside = partial(_count_outside, space, strict_domain)
     for offset, windows in _sample_windows(space, _width(op, cond.kind), samples, seed,
                                            grid_points):
         with _renumber(offset.__add__):
-            windows, lhs, rhs, out_count = _evaluate(op, space, cond, windows, strict_domain)
+            windows, lhs, rhs, out_count = _evaluate(op, space, cond, windows, count_outside)
         tol = TOL_REL * (1.0 + np.abs(rhs))
         bad = lhs > rhs + tol
         if strict:
@@ -354,10 +357,7 @@ def verify(op, space, cond, samples, seed, grid_points=None, strict_domain=False
     """
     if cond.kind not in WINDOW_KINDS:
         raise UsageError(f"verify expects a window condition, got {cond.kind!r}")
-    cert = _certify(op, space, cond, samples, seed, grid_points, strict_domain)
-    if cert.samples == 0:
-        raise UsageError("verify needs at least one sampled window")
-    return cert
+    return _certify(op, space, cond, samples, seed, grid_points, strict_domain)
 
 
 def verify_diagonal(op, space, cond, samples, seed, grid_points=None, strict_domain=False):
@@ -386,7 +386,7 @@ def estimate_constant(op, space, kind, samples, seed, grid_points=None):
         for offset, windows in _sample_windows(space, _width(op, kind), samples, seed,
                                                grid_points):
             with _renumber(offset.__add__):
-                windows, lhs, rhs, _ = _evaluate(op, space, unit, windows, False)
+                windows, lhs, rhs, _ = _evaluate(op, space, unit, windows, lambda *images: 0)
             if len(windows):  # max_ratio needs a row; banach may drop every pair
                 yield windows, lhs, rhs
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import bmetric, operators
+from . import bmetric, dsl, operators
 from .bmetric import leq_tol
 from .errors import DomainError, NumericEvalError, UsageError
 
@@ -95,8 +95,10 @@ def _run(op, space, seeds, stop, strict_domain, diagonal):
     (S, cap) buffers that double up to max_iterations. The k-step scheme
     applies f to a run's last k points; the diagonal scheme applies it to
     the last point repeated k times. The stop rules read the step distances
-    as Python floats. When a run stops, its trace is cut out and the buffers
-    keep only the live rows.
+    as Python floats; the residuals d(x, F(x)) of the runs whose step met
+    step_tol take one more operator and metric kernel call, for all of them.
+    When a run stops, its trace is cut out and the buffers keep only the
+    live rows.
 
     An error names its run. In a kernel error the window or row index is
     the run's; the other messages end in "in run r" when S > 1.
@@ -162,7 +164,7 @@ def _run(op, space, seeds, stop, strict_domain, diagonal):
         alphas_at_step[n - 1] = alpha
         if blowup is None:  # alphas[:, 0] is set from here on
             blowup = [DIVERGENCE_FACTOR * (1.0 + a) for a in alphas[:, 0].tolist()]
-        stopped = {}
+        stopped, near = {}, []
         for r, a in enumerate(alpha.tolist()):
             if not math.isfinite(a):
                 raise NumericEvalError(_in_run(
@@ -170,10 +172,15 @@ def _run(op, space, seeds, stop, strict_domain, diagonal):
             if a > blowup[r]:
                 stopped[r] = ("diverged", None)
             elif a <= stop.step_tol:
-                try:
-                    res = space.distance(nxt[r], op.diagonal_apply(nxt[r]))
-                except NumericEvalError as err:
-                    raise _renumbered(err, [ids[r]]) from None
+                near.append(r)
+        if near:
+            x = nxt[near]
+            try:
+                fx = operators.check_finite(f(op, np.broadcast_to(x[:, None], (len(near), k, m))))
+                residuals = dsl.require_finite(d(space, x, fx), space.distance_name).tolist()
+            except NumericEvalError as err:
+                raise _renumbered(err, [ids[r] for r in near]) from None
+            for r, res in zip(near, residuals):
                 if res <= stop.residual_tol:
                     stopped[r] = ("converged", res)
         n += 1
@@ -290,6 +297,8 @@ def presic_bounds(trace, eta, b, k):
     """
     if not 0 < eta < 1:
         raise UsageError("eta must lie in (0, 1)")
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
+        raise UsageError(f"k must be an integer >= 1, got {k!r}")
     alphas = np.asarray(trace.alphas, dtype=float)
     if len(alphas) < k:
         raise UsageError(f"trace too short: need at least k+1={k + 1} points")

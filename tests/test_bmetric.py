@@ -22,7 +22,7 @@ from presic_lab import (
     verify,
 )
 
-from presic_lab.bmetric import CHUNK, TOL_REL, AxiomReport, Violation, as_point, fold, leq_tol
+from presic_lab.bmetric import CHUNK, TOL_REL, Violation, as_point, fold, leq_tol
 
 from conftest import builtin_spaces
 
@@ -175,18 +175,21 @@ class TestBoxContains:
 class TestCheckAxioms:
     def test_squared_euclidean_with_declared_b(self, sq_space):
         report = check_axioms(sq_space, 2000, seed=3)
-        assert report.violations == []
+        assert report.ok
+        assert report.counts == {"b1": 0, "b2": 0, "b3": 0}
+        assert report.first == report.worst == {}
         assert report.checked_triples == 2000
 
     def test_squared_euclidean_with_b_one_fails(self, unit_box):
         wrong = BMetricSpace("squared_euclidean", unit_box, b=1.0)
         report = check_axioms(wrong, 0, seed=3, grid_points=3)  # grid {0, 1, 2}
-        b3 = [v for v in report.violations if v.axiom == "b3"]
-        assert b3, "expected a relaxed-triangle violation at b=1"
-        # the exhaustive witness (0, 1, 2): lhs 4 > rhs 2
-        assert any(v.lhs == 4.0 and v.rhs == 2.0 for v in b3)
+        assert not report.ok
+        # the triples (0, 1, 2) and (2, 1, 0): lhs 4 > rhs 2
+        assert report.counts == {"b1": 0, "b2": 0, "b3": 2}
+        assert report.first["b3"] == Violation("b3", ((0.0,), (1.0,), (2.0,)), 4.0, 2.0)
+        assert report.worst["b3"] == report.first["b3"]  # a tie keeps the first
         # every reported violation reproduces on re-evaluation
-        for v in b3:
+        for v in (report.first["b3"], report.worst["b3"]):
             x, z, y = (np.asarray(p) for p in v.points)
             lhs = wrong.distance(x, y)
             rhs = wrong.b * (wrong.distance(x, z) + wrong.distance(z, y))
@@ -194,12 +197,12 @@ class TestCheckAxioms:
 
     def test_euclidean_is_a_metric(self, eu_space):
         report = check_axioms(eu_space, 2000, seed=5)
-        assert report.violations == []
+        assert report.ok
 
     def test_all_builtins_satisfy_declared_b(self):
         for space in builtin_spaces():
             report = check_axioms(space, 1500, seed=7)
-            assert report.violations == [], space.kind
+            assert report.ok, space.kind
 
 
 class TestEstimateB:
@@ -315,7 +318,23 @@ def _reference_check_axioms(space, sample_count, seed, grid_points=None, max_tri
     for i in np.nonzero(~leq_tol(d_xy, rhs))[0]:
         violations.append(Violation("b3", (tuple(xs[i]), tuple(zs[i]), tuple(ys[i])),
                                     float(d_xy[i]), float(rhs[i])))
-    return AxiomReport(checked_triples=len(ia), violations=violations)
+    return len(ia), violations
+
+
+def _summary(violations, axiom):
+    """(count, first, worst) of the reference's `axiom` violations: the
+    worst has the largest |lhs - rhs|, the first of those on ties."""
+    found = [v for v in violations if v.axiom == axiom]
+    worst = max(found, key=lambda v: abs(v.lhs - v.rhs)) if found else None
+    return len(found), found[0] if found else None, worst
+
+
+def _assert_matches_reference(report, violations, axioms=("b1", "b2", "b3")):
+    for axiom in axioms:
+        count, first, worst = _summary(violations, axiom)
+        assert report.counts[axiom] == count, axiom
+        assert report.first.get(axiom) == first, axiom
+        assert report.worst.get(axiom) == worst, axiom
 
 
 def _reference_estimate_b(space, sample_count, seed, grid_points=None, max_triples=2_000_000):
@@ -371,27 +390,29 @@ class TestFullGridMatchesTheReference:
     def test_check_axioms(self, m, grid_points, kind):
         space = _spaces_of_every_kind(m)[kind]
         got = check_axioms(space, 0, 4, grid_points=grid_points)
-        want = _reference_check_axioms(space, 0, 4, grid_points=grid_points)
-        assert got.checked_triples == want.checked_triples == grid_points ** (3 * m)
-        assert got.violations == want.violations
+        checked, violations = _reference_check_axioms(space, 0, 4, grid_points=grid_points)
+        assert got.checked_triples == checked == grid_points ** (3 * m)
+        _assert_matches_reference(got, violations)
+        assert got.ok == (not violations)
         if kind == 4:
-            assert {v.axiom for v in got.violations} == {"b1", "b2", "b3"}
+            assert all(got.counts.values())
 
 
 class TestStreamedAxiomChecks:
     def test_identity_is_checked_at_the_same_random_points(self):
         space = _spaces_of_every_kind(1)[4]
-        b1 = [v for v in check_axioms(space, 3 * CHUNK + 7, 8).violations if v.axiom == "b1"]
-        want = [v for v in _reference_check_axioms(space, 3 * CHUNK + 7, 8).violations
-                if v.axiom == "b1"]
-        assert b1 == want
+        got = check_axioms(space, 3 * CHUNK + 7, 8)
+        _, violations = _reference_check_axioms(space, 3 * CHUNK + 7, 8)
+        assert got.counts["b1"] > 0
+        _assert_matches_reference(got, violations, axioms=("b1",))
 
     @pytest.mark.parametrize("grid_points", [3, 200])  # 200^3 triples exceed max_triples
     def test_each_grid_point_reports_its_b1_violation_once(self, unit_box, grid_points):
         space = custom("abs(u1-v1) + 1", unit_box, b=2.0)
         report = check_axioms(space, 1000, 0, grid_points=grid_points)
-        b1 = [v.points[0] for v in report.violations if v.axiom == "b1"]
-        assert b1 == [(float(x),) for x in np.linspace(0.0, 2.0, grid_points)]
+        assert report.counts["b1"] == grid_points
+        # every point's self-distance is 1, so the worst is the first, at 0
+        assert report.first["b1"] == report.worst["b1"] == Violation("b1", ((0.0,),), 1.0, 0.0)
 
     def test_random_triples_are_counted(self, sq_space):
         assert check_axioms(sq_space, 3 * CHUNK + 7, 1).checked_triples == 3 * CHUNK + 7
@@ -406,6 +427,22 @@ class TestStreamedAxiomChecks:
                 tracemalloc.stop()
 
         assert peak(2_000_000) <= 1.5 * peak(200_000)
+
+    def test_check_axioms_memory_does_not_grow_with_violations(self, unit_box):
+        wrong = BMetricSpace("squared_euclidean", unit_box, b=1.0)  # a third of triples violate b3
+
+        def peak(samples):
+            tracemalloc.start()
+            try:
+                report = check_axioms(wrong, samples, 1)
+                return tracemalloc.get_traced_memory()[1], report.counts["b3"]
+            finally:
+                tracemalloc.stop()
+
+        check_axioms(wrong, 1000, 1)  # so that one-time allocations fall outside both peaks
+        small, large = peak(20_000), peak(200_000)
+        assert large[1] > 60_000
+        assert large[0] <= 1.5 * small[0]
 
 
 class TestErrorsNameTheGlobalTriple:

@@ -141,6 +141,17 @@ def test_grid_points_below_one_is_usage_error(capsys, command, points):
     assert "grid_points must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, blocks, options", [
+    ("verify", {"condition": {"kind": "banach", "eta": 0.5}}, []),
+    ("estimate-b", {}, ["--grid", "--grid-points", "200"]),  # 200^3 triples exceed the budget
+], ids=["verify-banach", "estimate-b-grid"])
+def test_zero_samples_is_usage_error(tmp_path, capsys, command, blocks, options):
+    code, out = run_cli(command, _problem(tmp_path, **blocks), "--samples", "0", *options)
+    assert code == 2
+    assert out == ""
+    assert "samples must be >= 1" in capsys.readouterr().err
+
+
 class TestEachSubcommandTakesOnlyItsOptions:
     """An option a subcommand would ignore is argparse's usage error, exit 2."""
 

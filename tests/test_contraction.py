@@ -13,11 +13,13 @@ from presic_lab import (
     affine,
     averaging,
     banach,
+    check_axioms,
     ciric_max,
     constant,
     custom,
     diagonal_phi,
     diagonal_strict,
+    estimate_b,
     estimate_constant,
     euclidean,
     from_dsl,
@@ -731,6 +733,35 @@ def test_verify_memory_does_not_grow_with_samples(sq_space):
 def test_verify_needs_a_window(sq_space):
     with pytest.raises(UsageError):
         verify(averaging(1), sq_space, ciric_max(0.5), 0, seed=0)
+
+
+# Every sampled check at m = 1, with a grid too large to run in full: 200^3
+# windows or triples and 2000^2 pairs exceed the 2e6 budget.
+ZERO_SAMPLE_CHECKS = {
+    "verify": (lambda space, n, grid: verify(averaging(2), space, ciric_max(0.5), n, 0,
+                                             grid_points=grid), 200),
+    "verify_diagonal": (lambda space, n, grid: verify_diagonal(averaging(1), space, banach(0.5),
+                                                               n, 0, grid_points=grid), 2000),
+    "estimate_constant": (lambda space, n, grid: estimate_constant(averaging(1), space, "banach",
+                                                                   n, 0, grid_points=grid), 2000),
+    "estimate_b": (lambda space, n, grid: estimate_b(space, n, 0, grid_points=grid), 200),
+    "check_axioms": (lambda space, n, grid: check_axioms(space, n, 0, grid_points=grid), 200),
+}
+
+
+@pytest.mark.parametrize("over_budget", [False, True], ids=["no-grid", "grid-over-budget"])
+@pytest.mark.parametrize("name", ZERO_SAMPLE_CHECKS)
+def test_zero_samples_is_a_usage_error(sq_space, name, over_budget):
+    check, grid_points = ZERO_SAMPLE_CHECKS[name]
+    with pytest.raises(UsageError, match="samples must be >= 1"):
+        check(sq_space, 0, grid_points if over_budget else None)
+
+
+@pytest.mark.parametrize("samples", [0, 100])
+def test_diagonal_pairs_drawn_but_all_degenerate(sq_space, samples):
+    # a one-point grid draws pairs, each with x = y
+    with pytest.raises(DegenerateDomainError, match="no sampled pair has x != y"):
+        verify_diagonal(averaging(1), sq_space, banach(0.5), samples, 0, grid_points=1)
 
 
 # --- one kind table: payloads, problem files, validation ----------------------

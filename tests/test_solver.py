@@ -150,6 +150,12 @@ class TestPresicBounds:
             with pytest.raises(UsageError):
                 presic_bounds(trace, eta=eta, b=2.0, k=1)
 
+    @pytest.mark.parametrize("k", [0, -1, 1.5, 2.0, True, "2"])
+    def test_k_must_be_a_positive_integer(self, sq_space, k):
+        trace = picard(averaging(1), sq_space, [2.0])
+        with pytest.raises(UsageError, match="k must be an integer >= 1"):
+            presic_bounds(trace, eta=0.5, b=2.0, k=k)
+
     def test_random_verified_affine_operators(self, eu_space):
         # property: a sampled ciric_max certificate implies the per-step bounds
         rng = np.random.default_rng(42)
@@ -602,6 +608,30 @@ class TestIterateMany:
                 iterate_many(op, space, starts)
             with pytest.raises(NumericEvalError, match=r"coordinate 0 \(window 0\)$"):
                 iterate(op, space, starts[2])
+
+    def test_residual_errors_name_their_run(self):
+        # only run 2 barely moves at the first step, so its residual is the
+        # only one computed: F(x) = f(x, x) is 0*inf, and d(0.25, .) is 0*inf
+        op = from_dsl("0.5*x2 + 0*(1/(abs(x1-x2) + 1e-310))", 2)
+        starts = np.array([[[1.0], [2.0]], [[0.5], [1.0]], [[1.0], [0.0]]])
+        space = custom("abs(u1-v1)*(1 + 0*(1/(abs(u1 - 0.25) + 1e-310)))", Box([-2.0], [2.0]), b=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericEvalError, match=r"coordinate 0 \(window 2\)$"):
+                iterate_many(op, euclidean(Box([-2.0], [2.0])), starts)
+            with pytest.raises(NumericEvalError, match=r"custom metric distance \(row 2\)$"):
+                iterate_many(constant(0.25), space, np.array([[[1.0]], [[0.5]], [[0.25 + 1e-12]]]))
+            with pytest.raises(NumericEvalError, match=r"custom metric distance \(row 0\)$"):
+                iterate(constant(0.25), space, [[0.25 + 1e-12]])
+
+    def test_several_rows_that_barely_move_in_one_step(self, eu_space):
+        # F(x) = 1.001 x: at the first step the first four runs barely move;
+        # two of them sit at the fixed point 0, and two are far from it
+        op = from_dsl("x2 + 1e-3*x2/(1 + 1e12*(x1-x2)^2)", 2)
+        starts = np.array([[[0.0], [0.0]], [[1.0], [0.0]], [[0.0], [1.0]], [[0.5], [1.5]],
+                           [[1.5], [1.5]]])
+        got = _assert_matches_single_runs(op, eu_space, starts, StopRule(max_iterations=60))
+        assert [t.stop_reason for t in got] == ["converged"] * 2 + ["max_iterations"] * 3
+        assert [t.final_residual for t in got[:2]] == [0.0, 0.0]
 
     def test_nan_step_distance_names_its_run(self):
         # the distance turns NaN once u1 > 1.5: run 2 gets there at its
