@@ -2,9 +2,9 @@
 
 Subcommands: verify, solve, bounds, estimate-b, demo. Exit codes are a
 stable contract: 0 = success/verified, 1 = falsified or non-converged,
-2 = usage error. PRESIC_LAB_SEED is the seed fallback when --seed is
-absent. Outputs are reproducible for a fixed (problem, seed) up to the
-timestamp field.
+2 = usage error. The seed is --seed, else (solve and bounds) the file's
+solve.seed, else PRESIC_LAB_SEED, else 0. Outputs are reproducible for a
+fixed (problem, seed) up to the timestamp field.
 """
 
 from __future__ import annotations
@@ -23,13 +23,7 @@ from . import bmetric, contraction, operators, problem as problem_mod, solver
 from .errors import PresicLabError, UsageError
 
 
-def _emit(payload, args, fmt="json"):
-    payload = dict(payload)
-    payload["timestamp"] = datetime.now(timezone.utc).isoformat()
-    if fmt == "json":
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    else:
-        text = payload["csv"]
+def _write(text, args):
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -37,9 +31,16 @@ def _emit(payload, args, fmt="json"):
         sys.stdout.write(text)
 
 
-def _seed(args):
+def _emit(payload, args):
+    payload = dict(payload, timestamp=datetime.now(timezone.utc).isoformat())
+    _write(json.dumps(payload, sort_keys=True, indent=2) + "\n", args)
+
+
+def _seed(args, prob=None):
     if args.seed is not None:
         return args.seed
+    if prob is not None and prob.solve and prob.solve["seed"] is not None:
+        return prob.solve["seed"]
     env = os.environ.get("PRESIC_LAB_SEED")
     if env is not None:
         try:
@@ -71,8 +72,7 @@ def _solve_trace(prob, args, seed):
         start = prob.space.domain.sample(np.random.default_rng(seed),
                                          1 if args.picard else prob.operator.arity)
     if args.picard:
-        x0 = np.asarray(start, dtype=float).reshape(-1)[: prob.space.dimension]
-        return solver.picard(prob.operator, prob.space, x0, prob.solve["stop"],
+        return solver.picard(prob.operator, prob.space, start[0], prob.solve["stop"],
                              strict_domain=args.strict_domain)
     return solver.iterate(prob.operator, prob.space, start, prob.solve["stop"],
                           strict_domain=args.strict_domain)
@@ -80,13 +80,12 @@ def _solve_trace(prob, args, seed):
 
 def cmd_solve(args):
     prob = problem_mod.load(args.problem)
-    seed = prob.solve["seed"] if prob.solve and args.seed is None else _seed(args)
+    seed = _seed(args, prob)
     trace = _solve_trace(prob, args, seed)
     if args.format == "csv":
         buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerows(trace.to_csv_rows())
-        _emit({"csv": buf.getvalue()}, args, fmt="csv")
+        csv.writer(buf).writerows(trace.to_csv_rows())
+        _write(buf.getvalue(), args)
     else:
         payload = trace.to_dict()
         payload["seed"] = seed
@@ -100,11 +99,10 @@ def cmd_bounds(args):
         raise UsageError("bounds requires --eta or --a")
     k, b = prob.operator.arity, prob.space.b
     if args.eta is None:
-        solver.kannan_bounds(args.a, k, b, 0.0, 0)  # raises unless a k b^(k+1) < 1
+        contraction.kannan(args.a).validate(k=k, b=b)
         if not args.picard:
             raise UsageError("--a bounds hold along the Picard scheme: add --picard")
-    seed = prob.solve["seed"] if prob.solve and args.seed is None else _seed(args)
-    trace = _solve_trace(prob, args, seed)
+    trace = _solve_trace(prob, args, _seed(args, prob))
     if args.eta is not None:
         payload = solver.presic_bounds(trace, args.eta, b, k).to_dict()
         payload["alphas"] = [float(v) for v in trace.alphas]

@@ -23,6 +23,7 @@ window that re-evaluates to a violation.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import partial
 
@@ -129,9 +130,12 @@ class ConditionSpec:
     eta: float | None = None      # banach
 
     def validate(self, k=None, b=None):
-        """UsageError unless the kind is known and its constant given and in range."""
+        """UsageError unless the kind is known, its constant given and in range,
+        and the arity k, when given, an integer >= 1."""
         if self.kind not in FIELDS:
             raise UsageError(f"unknown condition kind {self.kind!r}")
+        if k is not None and (isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1):
+            raise UsageError(f"k must be an integer >= 1, got {k!r}")
         field = FIELDS[self.kind]
         value = None if field is None else getattr(self, field)
         if field is not None and value is None:

@@ -14,6 +14,7 @@ distance d(u, f(u,..,u)) in a given space.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -36,8 +37,10 @@ class PresicOperator:
     def __post_init__(self):
         if self.kind not in KERNELS:
             raise UsageError(f"unknown operator kind {self.kind!r}")
-        if self.arity < 1:
-            raise UsageError("operator arity must be >= 1")
+        arity = as_int(self.arity)
+        if arity is None or arity < 1:
+            raise UsageError(f"operator arity must be an integer >= 1, got {self.arity!r}")
+        object.__setattr__(self, "arity", arity)  # window shapes must be ints
         if self.dimension < 1:
             raise UsageError("operator dimension must be >= 1")
 
@@ -98,6 +101,12 @@ def _dsl(op, w):
 # kind -> kernel(op, windows) for float64 (N, k, m) windows already checked
 # against the operator's shape; returns (N, m) before the non-finite check
 KERNELS = {"averaging": _averaging, "affine": _affine, "constant": _affine, "dsl": _dsl}
+
+
+def as_int(value):
+    """`value` as an int if it is an integer or an integral float (no bool), else None."""
+    whole = isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer()
+    return int(value) if whole and not isinstance(value, bool) else None
 
 
 def check_finite(out):

@@ -16,7 +16,8 @@ Schema::
                     KEYS): "r": [...] | "kappa": r | "lambda": r | "a": r |
                     "eta": r | "phi": {"kind": "linear"|"paper_piecewise"|"dsl",
                                        "c": r, "expr": "..."}},
-      "solve": {"start": [[...], ...] | "random", "seed": <int>,
+      "solve": {"start": <k points, as solver.iterate takes them> | "random",
+                "seed": <int, optional>,
                 "stop": {"residual_tol": r, "step_tol": r, "max_iterations": n}}
     }
 """
@@ -28,9 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import bmetric, contraction, operators
+from . import bmetric, contraction, operators, solver
 from .errors import UsageError
-from .solver import StopRule
 
 
 @dataclass
@@ -38,7 +38,7 @@ class ProblemFile:
     space: bmetric.BMetricSpace
     operator: operators.PresicOperator
     condition: contraction.ConditionSpec | None = None
-    solve: dict | None = None  # {"start": (k, m) array | "random", "seed", "stop"}
+    solve: dict | None = None  # {"start": (k, m) array | "random", "seed": int | None, "stop"}
 
 
 # kind -> builder(cfg, box) of the space a block describes
@@ -57,10 +57,10 @@ OPERATORS = {
 
 
 def _load_operator(cfg, m):
-    k = cfg.get("k", 1)
-    if isinstance(k, bool) or not (isinstance(k, int) or isinstance(k, float) and k.is_integer()):
-        raise UsageError(f"operator block field 'k' must be an integer, got {k!r}")
-    op = _build(OPERATORS, "operator", cfg, int(k), m)
+    k = operators.as_int(cfg.get("k", 1))
+    if k is None:
+        raise UsageError(f"operator block field 'k' must be an integer, got {cfg['k']!r}")
+    op = _build(OPERATORS, "operator", cfg, k, m)
     if "k" in cfg and op.arity != k:  # affine takes its arity from its weights
         raise UsageError(f"operator block field 'k' is {k}, "
                          f"but the operator it describes has arity {op.arity}")
@@ -89,21 +89,12 @@ def _load_space(cfg):
 
 
 def _load_solve(cfg, op):
-    out = {"start": cfg.get("start", "random"), "seed": int(cfg.get("seed", 0))}
-    stop_cfg = cfg.get("stop", {})
-    out["stop"] = StopRule(  # which checks the values' types and ranges
-        residual_tol=stop_cfg.get("residual_tol", 1e-10),
-        step_tol=stop_cfg.get("step_tol", 1e-10),
-        max_iterations=stop_cfg.get("max_iterations", 10 ** 6),
-    )
-    if out["start"] != "random":
-        start = np.asarray(out["start"], dtype=float)
-        if start.ndim == 1 and op.dimension == 1:
-            start = start.reshape(-1, 1)
-        if start.shape != (op.arity, op.dimension):
-            raise UsageError("solve.start must supply k in-domain points")
-        out["start"] = start
-    return out
+    start = cfg.get("start", "random")
+    stop = {key: value for key, value in cfg.get("stop", {}).items()
+            if key in solver.StopRule.__dataclass_fields__}  # other keys are ignored
+    return {"start": start if start == "random" else solver._seed_window(op, start, op.arity),
+            "seed": int(cfg["seed"]) if "seed" in cfg else None,
+            "stop": solver.StopRule(**stop)}  # which checks the values' types and ranges
 
 
 # block -> loader(cfg, the blocks loaded before it), in load order

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import bmetric, dsl, operators
+from . import bmetric, contraction, dsl, operators
 from .bmetric import leq_tol
 from .errors import DomainError, NumericEvalError, UsageError
 
@@ -43,12 +43,11 @@ class StopRule:
             # `not tol > 0` also holds for NaN, which no step would ever meet
             if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not tol > 0:
                 raise UsageError(f"{name} must be a positive number, got {tol!r}")
-        cap = self.max_iterations
-        if isinstance(cap, bool) or not (isinstance(cap, numbers.Integral)
-                                         or isinstance(cap, float) and cap.is_integer()):
-            raise UsageError(f"max_iterations must be an integer, got {cap!r}")
-        object.__setattr__(self, "max_iterations", int(cap))  # buffer sizes must be ints
-        if self.max_iterations < 2:
+        cap = operators.as_int(self.max_iterations)
+        if cap is None:
+            raise UsageError(f"max_iterations must be an integer, got {self.max_iterations!r}")
+        object.__setattr__(self, "max_iterations", cap)  # buffer sizes must be ints
+        if cap < 2:
             raise UsageError("max_iterations too small")
 
 
@@ -225,28 +224,29 @@ def _trace(points, alphas, n, stop_reason, residual, out_of_domain):
     return trace
 
 
+def _seed_window(op, points, s):
+    """`points` as the float (s, m) seed window of one run: s = k for the
+    k-step scheme, 1 for the diagonal one. A number or flat list also reads
+    as s points when m = 1, and as the one point when s = 1."""
+    arr = np.asarray(points, dtype=float)
+    if arr.ndim < 2 and 1 in (s, op.dimension):
+        arr = arr.reshape((-1, 1) if op.dimension == 1 else (1, -1))
+    if arr.shape != (s, op.dimension):
+        raise UsageError(f"start must supply {s} point(s) of dimension {op.dimension}, "
+                         f"got shape {arr.shape}")
+    return arr
+
+
 def iterate(op, space, initial, stop=None, strict_domain=False):
     """Run the k-step scheme from k seed points."""
-    stop = stop or StopRule()
-    arr = np.asarray(initial, dtype=float)
-    if arr.ndim == 1:
-        if op.dimension == 1:
-            arr = arr.reshape(-1, 1)
-        elif op.arity == 1 and arr.size == op.dimension:
-            arr = arr.reshape(1, -1)
-    if arr.shape != (op.arity, op.dimension):
-        raise UsageError(
-            f"initial must supply k={op.arity} points of dimension {op.dimension}, got shape {arr.shape}")
-    return _run(op, space, arr[None], stop, strict_domain, diagonal=False)[0]
+    return _run(op, space, _seed_window(op, initial, op.arity)[None], stop or StopRule(),
+                strict_domain, diagonal=False)[0]
 
 
 def picard(op, space, x0, stop=None, strict_domain=False):
     """Iterate the diagonal map F(x) = f(x,..,x) from a single start."""
-    stop = stop or StopRule()
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    if x0.shape != (op.dimension,):
-        raise UsageError(f"x0 must be one point of dimension {op.dimension}, got shape {x0.shape}")
-    return _run(op, space, x0[None, None], stop, strict_domain, diagonal=True)[0]
+    return _run(op, space, _seed_window(op, x0, 1)[None], stop or StopRule(), strict_domain,
+                diagonal=True)[0]
 
 
 def iterate_many(op, space, starts, stop=None, strict_domain=False, diagonal=False):
@@ -295,10 +295,7 @@ def presic_bounds(trace, eta, b, k):
     per-step bound b^k K theta^n; all_steps_within reports whether every
     observed alpha respects its bound (tolerance-aware).
     """
-    if not 0 < eta < 1:
-        raise UsageError("eta must lie in (0, 1)")
-    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
-        raise UsageError(f"k must be an integer >= 1, got {k!r}")
+    contraction.ciric_max(eta).validate(k=k)
     alphas = np.asarray(trace.alphas, dtype=float)
     if len(alphas) < k:
         raise UsageError(f"trace too short: need at least k+1={k + 1} points")
@@ -315,13 +312,12 @@ def kannan_bounds(a, k, b, d01, n):
     """(b lambda)^n / (1 - b lambda) * d01 with lambda = a k b^k.
 
     Upper bound on d(x_n, x_m) for every m > n along the Picard scheme;
-    requires a k b^(k+1) < 1.
+    requires what contraction.kannan(a).validate(k=k, b=b) checks.
     """
     if d01 < 0 or n < 0:
         raise UsageError("d01 and n must be nonnegative")
+    contraction.kannan(a).validate(k=k, b=b)
     lam = a * k * b ** k
-    if not b * lam < 1:
-        raise UsageError("requires a*k*b^(k+1) < 1")
     return (b * lam) ** n / (1.0 - b * lam) * d01
 
 

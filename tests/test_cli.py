@@ -260,10 +260,12 @@ class TestBoundsCommand:
         payload = json.loads(out)
         assert payload["all_steps_within"]
 
-    def test_kannan_hypothesis_violated(self, capsys):
-        code, _ = run_cli("bounds", str(PROBLEMS / "quarter_kannan.json"), "--a", "2.0")
-        assert code == 2
-        assert "a*k*b^(k+1) < 1" in capsys.readouterr().err
+    @pytest.mark.parametrize("a, named", [("2.0", "a*k*b^(k+1) < 1"), ("-0.5", "a >= 0")])
+    def test_kannan_hypothesis_violated(self, capsys, a, named):
+        # a = -0.5 printed "tail bounds" of alternating sign and exited 0
+        code, out = run_cli("bounds", str(PROBLEMS / "quarter_kannan.json"), "--a", a, "--picard")
+        assert code == 2 and out == ""
+        assert named in capsys.readouterr().err
 
     def test_kannan_without_picard_is_usage_error(self, tmp_path, capsys):
         # the Kannan tail bound holds along the Picard scheme; on this k=2
@@ -340,6 +342,20 @@ class TestDeterminism:
 
 
 class TestSeedFallback:
+    @pytest.mark.parametrize("file_seed, option, expected", [
+        (None, (), 17), (3, (), 3), (None, ("--seed", "5"), 5), (3, ("--seed", "5"), 5)])
+    def test_seed_order(self, tmp_path, monkeypatch, file_seed, option, expected):
+        # --seed, then the solve block's seed, then PRESIC_LAB_SEED; a seedless
+        # block read as seed 0 before, whatever the variable said
+        monkeypatch.setenv("PRESIC_LAB_SEED", "17")
+        solve = {"start": "random", **({} if file_seed is None else {"seed": file_seed})}
+        path = _problem(tmp_path, solve=solve)
+        _, out = run_cli("solve", path, *option)
+        assert json.loads(out)["seed"] == expected
+        _, got = run_cli("bounds", path, "--eta", "0.5", *option)
+        _, pinned = run_cli("bounds", path, "--eta", "0.5", "--seed", str(expected))
+        assert strip_timestamp(got) == strip_timestamp(pinned)
+
     def test_env_var_seed(self, tmp_path):
         env = dict(os.environ, PRESIC_LAB_SEED="17", PYTHONPATH="src")
         cmd = [sys.executable, "-m", "presic_lab.cli", "verify",

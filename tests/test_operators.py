@@ -110,3 +110,16 @@ class TestPermutationInvariance:
         base = op.apply(window)
         for perm in itertools.permutations(range(3)):
             np.testing.assert_allclose(op.apply(window[list(perm)]), base, rtol=1e-15)
+
+
+class TestArity:
+    @pytest.mark.parametrize("k", [1.5, 0, -1, 0.0, True, "2", float("nan"), float("inf")])
+    def test_arity_must_be_an_integer_at_least_one(self, k):
+        # averaging(1.5) used to construct, and every later call failed on its shape
+        with pytest.raises(UsageError, match="operator arity must be an integer >= 1"):
+            averaging(k)
+
+    def test_integral_float_arity_is_an_int(self):
+        op = averaging(2.0)
+        assert op.arity == 2 and type(op.arity) is int
+        np.testing.assert_array_equal(op.apply([[1.0], [3.0]]), [1.0])

@@ -1,3 +1,5 @@
+import json
+
 import mpmath
 import numpy as np
 import pytest
@@ -31,6 +33,7 @@ from presic_lab import (
     squared_euclidean,
     verify,
 )
+from presic_lab import problem
 from presic_lab.bmetric import TOL_REL, leq_tol
 from presic_lab.solver import _INITIAL_CAPACITY, DIVERGENCE_FACTOR, IterationTrace
 
@@ -269,6 +272,49 @@ class TestExactBoundOracles:
         assert got["holds"] == _exact_within([got["lhs"]], [rhs])
 
 
+# (k, m, start, whether it is a seed window of averaging(k, m)): a nested
+# list of k points, or a number or flat list read as k numbers when m = 1
+# and as the one point when k = 1
+START_FORMS = [
+    (1, 1, [[2.0]], True), (1, 1, [2.0], True), (1, 1, 2.0, True),
+    (2, 1, [[1.0], [2.0]], True), (2, 1, [1.0, 2.0], True),
+    (1, 2, [[0.5, 0.5]], True), (1, 2, [0.5, 0.5], True),
+    (2, 2, [[0.5, 0.5], [0.1, 0.1]], True),
+    (2, 1, [1.0], False), (2, 1, 1.0, False), (2, 1, [[1.0, 2.0]], False),
+    (1, 2, [0.5], False), (1, 2, 0.5, False), (1, 2, [[0.5], [0.5]], False),
+    (2, 2, [0.5, 0.5], False), (2, 2, [0.5, 0.5, 0.1, 0.1], False),
+    (2, 2, [[0.5, 0.5]], False)]
+
+
+def _solve_problem(m, k, solve):
+    return json.dumps({"space": {"kind": "euclidean", "box": {"lo": [-1.0] * m, "hi": [1.0] * m}},
+                       "operator": {"kind": "averaging", "k": k}, "solve": solve})
+
+
+@pytest.mark.parametrize("k, m, start, ok", START_FORMS)
+def test_loader_iterate_and_picard_take_the_same_starts(k, m, start, ok):
+    op, space = averaging(k, m), euclidean(Box([-1.0] * m, [1.0] * m))
+    windows = [lambda: problem.loads(_solve_problem(m, k, {"start": start})).solve["start"],
+               lambda: iterate(op, space, start).points[:k]]
+    if k == 1:
+        windows.append(lambda: picard(op, space, start).points[:1])
+    if not ok:
+        for window in windows:
+            with pytest.raises(UsageError, match=f"start must supply {k} point"):
+                window()
+        return
+    loaded, *others = [window() for window in windows]
+    assert loaded.shape == (k, m)
+    for window in others:
+        np.testing.assert_array_equal(window, loaded)
+
+
+def test_stop_block_takes_the_stop_rule_defaults():
+    solve = problem.loads(_solve_problem(1, 1, {"stop": {"max_iterations": 50}})).solve
+    assert solve["stop"] == StopRule(max_iterations=50)
+    assert solve["seed"] is None and solve["start"] == "random"
+
+
 class TestKannanBounds:
     def test_formula_instantiation(self):
         assert kannan_bounds(2 / 3, 1, 1.0, 0.75, 2) == pytest.approx(1.0)
@@ -282,6 +328,14 @@ class TestKannanBounds:
     def test_hypothesis_violated(self):
         with pytest.raises(UsageError):
             kannan_bounds(2 / 3, 1, 2.0, 1.0, 1)  # a k b^(k+1) = 8/3
+
+    @pytest.mark.parametrize("a, k, named", [
+        (-0.5, 1, "a >= 0"), (0.1, 0, "k must be"), (0.1, -1, "k must be"),
+        (0.1, 1.5, "k must be")])
+    def test_a_and_k_out_of_range(self, a, k, named):
+        # each returned a number before: k = -1 a negative "bound"
+        with pytest.raises(UsageError, match=named):
+            kannan_bounds(a, k, 2.0, 1.0, 3)
 
     def test_bounds_actual_trace_distances(self, eu_space):
         trace = picard(affine([0.25]), eu_space, [1.0], TIGHT)
