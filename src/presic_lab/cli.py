@@ -56,10 +56,8 @@ def cmd_verify(args):
         raise UsageError("problem file has no 'condition' block")
     seed = _seed(args)
     grid = args.grid_points if args.grid else None
-    check = (contraction.verify_diagonal if prob.condition.kind in contraction.DIAGONAL_KINDS
-             else contraction.verify)
-    cert = check(prob.operator, prob.space, prob.condition, args.samples, seed,
-                 grid_points=grid, strict_domain=args.strict_domain)
+    cert = contraction.verify(prob.operator, prob.space, prob.condition, args.samples, seed,
+                              grid_points=grid, strict_domain=args.strict_domain)
     _emit(cert.to_dict(), args)
     return 0 if cert.passed else 1
 
@@ -67,14 +65,12 @@ def cmd_verify(args):
 def _solve_trace(prob, args, seed):
     if prob.solve is None:
         raise UsageError("problem file has no 'solve' block")
+    op = prob.operator.diagonal if args.picard else prob.operator
     start = prob.solve["start"]
     if isinstance(start, str):  # "random": one point for Picard, else k
-        start = prob.space.domain.sample(np.random.default_rng(seed),
-                                         1 if args.picard else prob.operator.arity)
-    if args.picard:
-        return solver.picard(prob.operator, prob.space, start[0], prob.solve["stop"],
-                             strict_domain=args.strict_domain)
-    return solver.iterate(prob.operator, prob.space, start, prob.solve["stop"],
+        start = prob.space.domain.sample(np.random.default_rng(seed), op.arity)
+    # Picard iteration is the k-step scheme of F, from the first seed point
+    return solver.iterate(op, prob.space, start[:op.arity], prob.solve["stop"],
                           strict_domain=args.strict_domain)
 
 
@@ -98,10 +94,16 @@ def cmd_bounds(args):
     if args.eta is None and args.a is None:
         raise UsageError("bounds requires --eta or --a")
     k, b = prob.operator.arity, prob.space.b
-    if args.eta is None:
-        contraction.kannan(args.a).validate(k=k, b=b)
-        if not args.picard:
-            raise UsageError("--a bounds hold along the Picard scheme: add --picard")
+    if args.eta is not None:
+        option, value, cond = "--eta", args.eta, contraction.ciric_max(args.eta)
+    else:
+        option, value, cond = "--a", args.a, contraction.kannan(args.a)
+    try:  # the message names the option the value came from
+        cond.validate(k=k, b=b)
+    except UsageError as exc:
+        raise UsageError(f"{option} {value}: {exc}") from None
+    if args.eta is None and not args.picard:
+        raise UsageError("--a bounds hold along the Picard scheme: add --picard")
     trace = _solve_trace(prob, args, _seed(args, prob))
     if args.eta is not None:
         payload = solver.presic_bounds(trace, args.eta, b, k).to_dict()

@@ -16,6 +16,9 @@ Diagonal conditions on pairs x != y with lhs = d(F(x), F(y)):
 * diagonal_strict:       lhs <  d(x,y)
 * diagonal_phi(phi):     lhs <= d(x,y) - phi(d(x,y))
 
+A diagonal condition is checked as a window condition on F = `op.diagonal`,
+whose windows are the pairs (x, y); the pairs with x = y are dropped first.
+
 Verification samples windows from the space's box (seeded, reproducible);
 a pass is "passed on the samples drawn", a failure is a concrete witness
 window that re-evaluates to a violation.
@@ -23,7 +26,6 @@ window that re-evaluates to a violation.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from functools import partial
 
@@ -32,6 +34,7 @@ import numpy as np
 from . import dsl
 from .bmetric import CHUNK, TOL_REL, _renumber, _sample_windows, fold, max_ratio  # re-exports CHUNK
 from .errors import DegenerateDomainError, DomainError, UsageError
+from .operators import as_int
 
 # kind -> the ConditionSpec field that holds its constant (diagonal_strict has none)
 FIELDS = {"presic_sum": "r", "ciric_max": "kappa", "lambda_max": "lam", "weak_phi": "phi",
@@ -39,7 +42,6 @@ FIELDS = {"presic_sum": "r", "ciric_max": "kappa", "lambda_max": "lam", "weak_ph
 # ConditionSpec field -> its key in payloads and problem files
 KEYS = {"r": "r", "kappa": "kappa", "lam": "lambda", "a": "a", "eta": "eta", "phi": "phi"}
 DIAGONAL_KINDS = ("banach", "diagonal_strict", "diagonal_phi")
-WINDOW_KINDS = tuple(kind for kind in FIELDS if kind not in DIAGONAL_KINDS)
 
 
 # --- gauge functions -------------------------------------------------------
@@ -134,7 +136,7 @@ class ConditionSpec:
         and the arity k, when given, an integer >= 1."""
         if self.kind not in FIELDS:
             raise UsageError(f"unknown condition kind {self.kind!r}")
-        if k is not None and (isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1):
+        if k is not None and (as_int(k) is None or k < 1):
             raise UsageError(f"k must be an integer >= 1, got {k!r}")
         field = FIELDS[self.kind]
         value = None if field is None else getattr(self, field)
@@ -265,11 +267,6 @@ def _count_outside(space, strict_domain, *outputs):
     return count
 
 
-def _width(op, kind):
-    """Points per sampled window: a diagonal pair is the two-point window (x, y)."""
-    return 2 if kind in DIAGONAL_KINDS else op.arity + 1
-
-
 def _window_base(op, space, kind, windows):
     """What the right-hand side of `kind` is built from, per window:
     max_i d(x_i, F(x_i)) for kannan, the (N, k) steps d(x_j, x_{j+1}) for
@@ -298,8 +295,8 @@ def _rhs(cond, base):
 
 def _evaluate(op, space, cond, windows, count_outside):
     """(windows, lhs, rhs, out_count) of one chunk of `cond`'s windows, with
-    lhs the distance between the images of each window: f(x_1..x_k) and
-    f(x_2..x_{k+1}), or F(x) and F(y) for a diagonal pair, whose pairs with
+    lhs the distance between the images f(x_1..x_k) and f(x_2..x_{k+1}) of
+    each window of `op`. For a diagonal kind, `op` is F and the pairs with
     x = y are dropped first. out_count is `count_outside(*images)`, called
     before any distance of the images."""
     diagonal = cond.kind in DIAGONAL_KINDS
@@ -310,10 +307,7 @@ def _evaluate(op, space, cond, windows, count_outside):
             return windows[:0], base[:0], base[:0], 0
         windows, base = windows[keep], base[keep]
     with _renumber(lambda row: np.flatnonzero(keep)[row] if diagonal else row):
-        if diagonal:
-            fa, fb = op.diagonal_batch(windows[:, 0]), op.diagonal_batch(windows[:, 1])
-        else:
-            fa, fb = op.apply_batch(windows[:, :-1]), op.apply_batch(windows[:, 1:])
+        fa, fb = op.apply_batch(windows[:, :-1]), op.apply_batch(windows[:, 1:])
         out_count = count_outside(fa, fb)
         lhs = space.distance_batch(fa, fb)
         del fa, fb  # freed before the base is built
@@ -322,17 +316,22 @@ def _evaluate(op, space, cond, windows, count_outside):
         return windows, lhs, _rhs(cond, base), out_count
 
 
-def _certify(op, space, cond, samples, seed, grid_points, strict_domain):
-    """Certificate of `cond` over its sampled windows, CHUNK at a time: the
-    first violation in sample order is the witness; slack_min and the
-    out-of-domain count cover every chunk. diagonal_strict counts a tie as
-    a violation."""
+def verify(op, space, cond, samples, seed, grid_points=None, strict_domain=False):
+    """Check `cond` on sampled (k+1)-windows, or on sampled pairs x != y for
+    a diagonal condition, CHUNK windows at a time.
+
+    Returns a certificate: falsified with the first violating witness
+    (by sample index), else passed_on_samples; slack_min, the minimum
+    rhs - lhs, and the out-of-domain count cover every chunk.
+    diagonal_strict counts a tie as a violation. DegenerateDomainError when
+    every pair of a diagonal condition has x = y.
+    """
     cond.validate(k=op.arity, b=space.b)
+    op = op.diagonal if cond.kind in DIAGONAL_KINDS else op  # F's windows are pairs
     strict = cond.kind == "diagonal_strict"
     count, slack_min, witness, out_of_domain = 0, np.inf, None, 0
     count_outside = partial(_count_outside, space, strict_domain)
-    for offset, windows in _sample_windows(space, _width(op, cond.kind), samples, seed,
-                                           grid_points):
+    for offset, windows in _sample_windows(space, op.arity + 1, samples, seed, grid_points):
         with _renumber(offset.__add__):
             windows, lhs, rhs, out_count = _evaluate(op, space, cond, windows, count_outside)
         tol = TOL_REL * (1.0 + np.abs(rhs))
@@ -347,31 +346,14 @@ def _certify(op, space, cond, samples, seed, grid_points, strict_domain):
         count += len(windows)
         slack_min = np.minimum(slack_min, (rhs - lhs).min(initial=np.inf))  # keeps a NaN
         out_of_domain += out_count
+    if count == 0:
+        raise DegenerateDomainError("no sampled pair has x != y")
     verdict = "passed_on_samples" if witness is None else "falsified"
     return ContractionCertificate(cond, count, seed, verdict, float(slack_min), witness=witness,
                                   out_of_domain=out_of_domain)
 
 
-def verify(op, space, cond, samples, seed, grid_points=None, strict_domain=False):
-    """Check a window condition on sampled (k+1)-windows.
-
-    Returns a certificate: falsified with the first violating witness
-    (by sample index), else passed_on_samples with the minimum slack
-    rhs - lhs observed.
-    """
-    if cond.kind not in WINDOW_KINDS:
-        raise UsageError(f"verify expects a window condition, got {cond.kind!r}")
-    return _certify(op, space, cond, samples, seed, grid_points, strict_domain)
-
-
-def verify_diagonal(op, space, cond, samples, seed, grid_points=None, strict_domain=False):
-    """Check a diagonal condition on sampled pairs x != y."""
-    if cond.kind not in DIAGONAL_KINDS:
-        raise UsageError(f"verify_diagonal expects a diagonal condition, got {cond.kind!r}")
-    cert = _certify(op, space, cond, samples, seed, grid_points, strict_domain)
-    if cert.samples == 0:
-        raise DegenerateDomainError("no sampled pair has x != y")
-    return cert
+verify_diagonal = verify  # one check for every kind
 
 
 def estimate_constant(op, space, kind, samples, seed, grid_points=None):
@@ -380,15 +362,15 @@ def estimate_constant(op, space, kind, samples, seed, grid_points=None):
     Returns {'constant_hat', 'witness'} with the supremum of lhs over the
     condition's comparator (its constant stripped) across sampled windows;
     windows whose comparator vanishes are skipped, and banach's x = y pairs
-    are dropped before their images are evaluated, as verify_diagonal does.
+    are dropped before their images are evaluated, as verify does.
     """
     if kind not in ("ciric_max", "banach", "kannan"):
         raise UsageError(f"estimate_constant supports ciric_max|banach|kannan, got {kind!r}")
     unit = ConditionSpec(kind, **{FIELDS[kind]: 1.0})  # its rhs, 1.0 * comparator, is exact
+    op = op.diagonal if kind in DIAGONAL_KINDS else op
 
     def chunks():
-        for offset, windows in _sample_windows(space, _width(op, kind), samples, seed,
-                                               grid_points):
+        for offset, windows in _sample_windows(space, op.arity + 1, samples, seed, grid_points):
             with _renumber(offset.__add__):
                 windows, lhs, rhs, _ = _evaluate(op, space, unit, windows, lambda *images: 0)
             if len(windows):  # max_ratio needs a row; banach may drop every pair

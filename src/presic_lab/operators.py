@@ -8,6 +8,10 @@ Built-in kinds:
 * dsl: one expression per output coordinate, in variables x1..xk which
   refer to that coordinate of each window entry
 
+`op.diagonal` is F as an operator of arity 1 (internal kind "diagonal"),
+bit-identical to f on the repeated window: Picard iteration is its k-step
+scheme, and a diagonal condition is a window condition on it.
+
 A point u is a fixed point when f(u,..,u) = u; residual() measures the
 distance d(u, f(u,..,u)) in a given space.
 """
@@ -33,6 +37,7 @@ class PresicOperator:
     weights: np.ndarray | None = None  # affine and constant, shape (k,)
     offset: np.ndarray | None = None   # affine and constant, shape (m,)
     exprs: tuple | None = None         # dsl, one Expr per output coordinate
+    base: PresicOperator | None = None  # diagonal, the operator f of F(x) = f(x,..,x)
 
     def __post_init__(self):
         if self.kind not in KERNELS:
@@ -48,6 +53,11 @@ class PresicOperator:
     def variables(self):
         """The names x1..xk a DSL body binds to its window's slots."""
         return dsl.operator_variables(self.arity)
+
+    @cached_property
+    def diagonal(self):
+        """F(x) = f(x,..,x) as an operator of arity 1."""
+        return PresicOperator("diagonal", 1, self.dimension, base=self)
 
     def apply(self, window):
         """Evaluate f on a window of k points; returns one point."""
@@ -73,8 +83,7 @@ class PresicOperator:
 
     def diagonal_batch(self, xs):
         """Vectorized diagonal map on (N, m) points."""
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        return self.apply_batch(np.broadcast_to(xs[:, None, :], (len(xs), self.arity, xs.shape[1])))
+        return self.diagonal.apply_batch(np.atleast_2d(np.asarray(xs, dtype=float))[:, None])
 
 
 def _averaging(op, w):
@@ -90,6 +99,11 @@ def _affine(op, w):
     return out + op.offset
 
 
+def _diagonal(op, w):  # the repeated window is a view, not a copy
+    base = op.base
+    return KERNELS[base.kind](base, np.broadcast_to(w, (len(w), base.arity, op.dimension)))
+
+
 def _dsl(op, w):
     out = np.empty((len(w), op.dimension))
     for j, expr in enumerate(op.exprs):
@@ -100,7 +114,8 @@ def _dsl(op, w):
 
 # kind -> kernel(op, windows) for float64 (N, k, m) windows already checked
 # against the operator's shape; returns (N, m) before the non-finite check
-KERNELS = {"averaging": _averaging, "affine": _affine, "constant": _affine, "dsl": _dsl}
+KERNELS = {"averaging": _averaging, "affine": _affine, "constant": _affine, "dsl": _dsl,
+           "diagonal": _diagonal}
 
 
 def as_int(value):

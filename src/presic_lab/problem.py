@@ -92,7 +92,7 @@ def _load_solve(cfg, op):
     start = cfg.get("start", "random")
     stop = {key: value for key, value in cfg.get("stop", {}).items()
             if key in solver.StopRule.__dataclass_fields__}  # other keys are ignored
-    return {"start": start if start == "random" else solver._seed_window(op, start, op.arity),
+    return {"start": start if start == "random" else solver._seed_window(op, start),
             "seed": int(cfg["seed"]) if "seed" in cfg else None,
             "stop": solver.StopRule(**stop)}  # which checks the values' types and ranges
 

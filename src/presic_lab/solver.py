@@ -1,10 +1,12 @@
 """k-step iteration x_{n+k} = f(x_n,..,x_{n+k-1}), diagonal Picard iteration,
 convergence detection, empirical rate fitting, and explicit error bounds.
 
-`iterate` and `picard` run one start; `iterate_many` runs S starts side by
-side, and each of its traces is the one a single run would return. All three
-check their seeds once, at entry; a bad seed is a UsageError before any
-step. The trace of a run holds its points as one float64 (n, m) array, seeds
+`iterate` runs one start; `iterate_many` runs S starts side by side, and
+each of its traces is the one a single run would return. Picard iteration
+is the k-step scheme of `op.diagonal`: `picard(op, ...)` runs it from one
+start point, `iterate_many(op.diagonal, ...)` from many. All of them check
+their seeds once, at entry; a bad seed is a UsageError before any step.
+The trace of a run holds its points as one float64 (n, m) array, seeds
 included, and its step distances as one float64 (n-1,) array.
 
 The bound machinery: with theta = eta^(1/k) and
@@ -84,18 +86,19 @@ class IterationTrace:
         return rows
 
 
-def _run(op, space, seeds, stop, strict_domain, diagonal):
-    """Extend each run of the (S, s, m) `seeds` one point a step until a stop
+def _run(op, space, seeds, stop, strict_domain):
+    """Extend each run of the (S, k, m) `seeds` one point a step until a stop
     rule fires; return the S traces in run order.
 
     The seeds are checked here, once. Each step then advances every live run
     with one call each of the operator kernel, the finiteness check,
     `contains` and the metric kernel, on views of float64 (S, cap, m) and
-    (S, cap) buffers that double up to max_iterations. The k-step scheme
-    applies f to a run's last k points; the diagonal scheme applies it to
-    the last point repeated k times. The stop rules read the step distances
-    as Python floats; the residuals d(x, F(x)) of the runs whose step met
-    step_tol take one more operator and metric kernel call, for all of them.
+    (S, cap) buffers that double up to max_iterations. `op` is applied to a
+    run's last k points; for Picard iteration `op` is `op.diagonal`, whose
+    one-point window is the last point. The stop rules read the step
+    distances as Python floats; the residuals d(x, F(x)) of the runs whose
+    step met step_tol take one more operator and metric kernel call, for all
+    of them.
     When a run stops, its trace is cut out and the buffers keep only the
     live rows.
 
@@ -129,9 +132,6 @@ def _run(op, space, seeds, stop, strict_domain, diagonal):
             raise
         run, pair = divmod(err.row, n - 1)
         raise NumericEvalError(_in_run(err.template, run, runs), pair) from None
-    if diagonal:  # each run's window views its last point k times
-        last = seeds[:, 0].copy()
-        window = np.broadcast_to(last[:, None], (runs, k, m))
     ids = list(range(runs))  # the run each buffer row holds
     out_of_domain = [0] * runs
     traces = [None] * runs
@@ -142,10 +142,8 @@ def _run(op, space, seeds, stop, strict_domain, diagonal):
             points = np.concatenate([points, np.empty((len(ids), cap - n, m))], axis=1)
             alphas = np.concatenate([alphas, np.empty((len(ids), cap - n))], axis=1)
             at_step, alphas_at_step = points.swapaxes(0, 1), alphas.T
-        if not diagonal:
-            window = points[:, n - k:n]
         try:
-            nxt = operators.check_finite(f(op, window))
+            nxt = operators.check_finite(f(op, points[:, n - k:n]))
         except NumericEvalError as err:
             raise _renumbered(err, ids) from None
         inside_rows = inside(nxt).tolist()
@@ -157,8 +155,6 @@ def _run(op, space, seeds, stop, strict_domain, diagonal):
                                                   ids[r], runs))
                     out_of_domain[ids[r]] += 1
         at_step[n] = nxt
-        if diagonal:
-            last[...] = nxt
         alpha = d(space, at_step[n - 1], nxt)
         alphas_at_step[n - 1] = alpha
         if blowup is None:  # alphas[:, 0] is set from here on
@@ -192,9 +188,6 @@ def _run(op, space, seeds, stop, strict_domain, diagonal):
                 return traces
             points, alphas = points[keep], alphas[keep]
             at_step, alphas_at_step = points.swapaxes(0, 1), alphas.T
-            if diagonal:
-                last = last[keep]
-                window = np.broadcast_to(last[:, None], (len(keep), k, m))
             ids = [ids[r] for r in keep]
             blowup = [blowup[r] for r in keep]
     for r, run in enumerate(ids):
@@ -224,44 +217,42 @@ def _trace(points, alphas, n, stop_reason, residual, out_of_domain):
     return trace
 
 
-def _seed_window(op, points, s):
-    """`points` as the float (s, m) seed window of one run: s = k for the
-    k-step scheme, 1 for the diagonal one. A number or flat list also reads
-    as s points when m = 1, and as the one point when s = 1."""
+def _seed_window(op, points):
+    """`points` as the float (k, m) seed window of one run of `op`. A number
+    or flat list also reads as k points when m = 1, and as the one point
+    when k = 1."""
     arr = np.asarray(points, dtype=float)
-    if arr.ndim < 2 and 1 in (s, op.dimension):
-        arr = arr.reshape((-1, 1) if op.dimension == 1 else (1, -1))
-    if arr.shape != (s, op.dimension):
-        raise UsageError(f"start must supply {s} point(s) of dimension {op.dimension}, "
+    k, m = op.arity, op.dimension
+    if arr.ndim < 2 and 1 in (k, m):
+        arr = arr.reshape((-1, 1) if m == 1 else (1, -1))
+    if arr.shape != (k, m):
+        raise UsageError(f"start must supply {k} point(s) of dimension {m}, "
                          f"got shape {arr.shape}")
     return arr
 
 
 def iterate(op, space, initial, stop=None, strict_domain=False):
     """Run the k-step scheme from k seed points."""
-    return _run(op, space, _seed_window(op, initial, op.arity)[None], stop or StopRule(),
-                strict_domain, diagonal=False)[0]
+    return _run(op, space, _seed_window(op, initial)[None], stop or StopRule(), strict_domain)[0]
 
 
 def picard(op, space, x0, stop=None, strict_domain=False):
     """Iterate the diagonal map F(x) = f(x,..,x) from a single start."""
-    return _run(op, space, _seed_window(op, x0, 1)[None], stop or StopRule(), strict_domain,
-                diagonal=True)[0]
+    op = op.diagonal
+    return _run(op, space, _seed_window(op, x0)[None], stop or StopRule(), strict_domain)[0]
 
 
-def iterate_many(op, space, starts, stop=None, strict_domain=False, diagonal=False):
-    """Run S iterations side by side from `starts` of shape (S, s, m): k seed
-    points per run for the k-step scheme, one start point (s = 1) for the
-    diagonal scheme. Returns the S traces, each bit-identical to the trace
-    `iterate` (or `picard`) returns from that run's start. An error names
-    its run."""
+def iterate_many(op, space, starts, stop=None, strict_domain=False):
+    """Run S iterations side by side from `starts` of shape (S, k, m), k seed
+    points per run (pass `op.diagonal` and one start point per run for
+    Picard iteration). Returns the S traces, each bit-identical to the trace
+    `iterate` returns from that run's start. An error names its run."""
     stop = stop or StopRule()
     arr = np.asarray(starts, dtype=float)
-    s = 1 if diagonal else op.arity
-    if arr.ndim != 3 or len(arr) < 1 or arr.shape[1:] != (s, op.dimension):
-        raise UsageError(f"starts must have shape (S, {s}, {op.dimension}) with S >= 1, "
+    if arr.ndim != 3 or len(arr) < 1 or arr.shape[1:] != (op.arity, op.dimension):
+        raise UsageError(f"starts must have shape (S, {op.arity}, {op.dimension}) with S >= 1, "
                          f"got shape {arr.shape}")
-    return _run(op, space, arr, stop, strict_domain, diagonal)
+    return _run(op, space, arr, stop, strict_domain)
 
 
 @dataclass
@@ -296,6 +287,7 @@ def presic_bounds(trace, eta, b, k):
     observed alpha respects its bound (tolerance-aware).
     """
     contraction.ciric_max(eta).validate(k=k)
+    k = int(k)  # validate also takes an integral float
     alphas = np.asarray(trace.alphas, dtype=float)
     if len(alphas) < k:
         raise UsageError(f"trace too short: need at least k+1={k + 1} points")

@@ -267,6 +267,14 @@ class TestBoundsCommand:
         assert code == 2 and out == ""
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, option, named", [
+        ("averaging_k1.json", ("--eta", "1.5"), "--eta 1.5: ciric_max needs 0 < kappa < 1"),
+        ("quarter_kannan.json", ("--a", "-0.5", "--picard"), "--a -0.5: kannan needs a >= 0")])
+    def test_out_of_range_constant_names_its_option(self, capsys, name, option, named):
+        code, out = run_cli("bounds", str(PROBLEMS / name), *option)
+        assert code == 2 and out == ""
+        assert named in capsys.readouterr().err
+
     def test_kannan_without_picard_is_usage_error(self, tmp_path, capsys):
         # the Kannan tail bound holds along the Picard scheme; on this k=2
         # problem the k-step trace breaks it

@@ -71,13 +71,20 @@ class TestDiagonal:
         op = from_dsl(["(x1+x2)/4"], k=2)
         assert op.diagonal_apply([2.0]) == np.array([1.0])
 
-    def test_bit_for_bit_equal_to_repeated_window(self):
-        rng = np.random.default_rng(11)
-        for op in (averaging(3), affine([0.1, 0.2, 0.3], 0.4), from_dsl(["(x1+x2+x3)/6"], k=3)):
-            for _ in range(100):
-                x = rng.uniform(-2, 2, size=1)
-                window = np.tile(x, (3, 1))
-                np.testing.assert_array_equal(op.diagonal_apply(x), op.apply(window))
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("kind", ["averaging", "affine", "constant", "dsl"])
+    def test_bit_for_bit_equal_to_repeated_window(self, kind, m):
+        op = {"averaging": averaging(3, m),
+              "affine": affine([0.1, 0.2, 0.3], 0.4, m),
+              "constant": constant(np.linspace(0.3, 0.7, m), k=3),
+              "dsl": from_dsl(["(x1+x2+x3)/6", "x1*x2 - x3/7"][:m], k=3)}[kind]
+        xs = np.random.default_rng(11).uniform(-2, 2, size=(100, m))
+        repeated = np.array([op.apply(np.tile(x, (3, 1))) for x in xs])
+        np.testing.assert_array_equal(op.diagonal.apply_batch(xs[:, None]), repeated)
+        np.testing.assert_array_equal(op.diagonal_batch(xs), repeated)
+        np.testing.assert_array_equal([op.diagonal_apply(x) for x in xs], repeated)
+        assert op.diagonal.arity == 1 and op.diagonal.base is op
+        assert op.diagonal is op.diagonal
 
 
 class TestResidual:

@@ -153,11 +153,18 @@ class TestPresicBounds:
             with pytest.raises(UsageError):
                 presic_bounds(trace, eta=eta, b=2.0, k=1)
 
-    @pytest.mark.parametrize("k", [0, -1, 1.5, 2.0, True, "2"])
+    @pytest.mark.parametrize("k", [0, -1, 1.5, True, "2"])
     def test_k_must_be_a_positive_integer(self, sq_space, k):
         trace = picard(averaging(1), sq_space, [2.0])
         with pytest.raises(UsageError, match="k must be an integer >= 1"):
             presic_bounds(trace, eta=0.5, b=2.0, k=k)
+
+    def test_integral_float_k_is_that_integer(self, sq_space):
+        # the rule of an operator arity and of a problem file's "k"
+        trace = iterate(averaging(2), sq_space, [2.0, 1.3], TIGHT)
+        assert (presic_bounds(trace, eta=0.25, b=2.0, k=2.0).to_dict()
+                == presic_bounds(trace, eta=0.25, b=2.0, k=2).to_dict())
+        assert kannan_bounds(0.05, 2.0, 2.0, 0.75, 3) == kannan_bounds(0.05, 2, 2.0, 0.75, 3)
 
     def test_random_verified_affine_operators(self, eu_space):
         # property: a sampled ciric_max certificate implies the per-step bounds
@@ -570,8 +577,10 @@ class TestReferenceLoop:
 
 
 def _assert_matches_single_runs(op, space, starts, stop, diagonal=False, strict_domain=False):
-    """iterate_many against one iterate/picard call and one reference run per start."""
-    got = iterate_many(op, space, starts, stop, strict_domain=strict_domain, diagonal=diagonal)
+    """iterate_many against one iterate/picard call and one reference run per start;
+    with `diagonal`, iterate_many runs op.diagonal."""
+    got = iterate_many(op.diagonal if diagonal else op, space, starts, stop,
+                       strict_domain=strict_domain)
     assert len(got) == len(starts)
     for trace, start in zip(got, starts):
         if diagonal:
@@ -634,7 +643,7 @@ class TestIterateMany:
             with pytest.raises(UsageError):
                 iterate_many(op, eu_space, bad)
         with pytest.raises(UsageError):
-            iterate_many(op, eu_space, np.zeros((3, 2, 1)), diagonal=True)
+            iterate_many(op.diagonal, eu_space, np.zeros((3, 2, 1)))
 
     def test_non_finite_seed_names_its_run(self, eu_space):
         starts = np.zeros((4, 2, 1))
