@@ -32,14 +32,18 @@ def fold(ufunc, a, axis):
 
     numpy reduces a short axis row by row, slowly on tall arrays. A fold of
     add is bit-identical to `.sum()` (which starts from +0.0) only below
-    numpy's pairwise block of 8, so longer axes reduce. So do arrays of at
-    most 512 rows, unless the fold is one copy: the fold's fixed cost of
-    one ufunc call per slice made it slower than one reduce on every
-    kernel shape timed at 8 rows or fewer, and faster on all but one at
-    512 rows. The solver's one-row steps take this path.
+    numpy's pairwise block of 8, so longer axes reduce, on a C-contiguous
+    copy: numpy sums pairwise only along a contiguous axis, so the rounding
+    would otherwise depend on the memory layout, not only on the values.
+    Arrays of at most 512 rows reduce too, unless the fold is one copy: the
+    fold's fixed cost of one ufunc call per slice made it slower than one
+    reduce on every kernel shape timed at 8 rows or fewer, and faster on all
+    but one at 512 rows. The solver's one-row steps take this path.
     """
     n = a.shape[axis]
-    if n >= 8 or n != 1 and a.size <= 512 * n:
+    if n >= 8:
+        return ufunc.reduce(np.ascontiguousarray(a), axis=axis)
+    if n != 1 and a.size <= 512 * n:
         return ufunc.reduce(a, axis=axis)
     head = (slice(None),) * (axis % a.ndim)
     first = a[head + (0,)]
@@ -244,6 +248,12 @@ def _sample_windows(space, width, samples, seed, grid_points=None, budget=2_000_
     Windows are uniform in the box; with grid_points they are the full grid
     of grid_points values per axis when it has at most `budget` windows,
     else `samples` windows drawn from that grid; a sample of none is a UsageError.
+
+    Each chunk is coordinate-major: a C-contiguous (width, m, N) array seen
+    through `transpose(2, 0, 1)`. A slot `windows[:, j]` or one coordinate
+    is then contiguous along the windows, and numpy's elementwise ops keep
+    that layout in the images and distances, so their inner loops run over
+    N, not over m.
     """
     if grid_points is not None and grid_points < 1:
         raise UsageError(f"grid_points must be >= 1, got {grid_points}")
@@ -256,14 +266,16 @@ def _sample_windows(space, width, samples, seed, grid_points=None, budget=2_000_
         raise UsageError(f"samples must be >= 1 when no full grid is checked, got {samples}")
     for start in range(0, total, CHUNK):
         count = min(CHUNK, total - start)
-        if grid_points is None:
-            windows = box.sample(rng, count * width)
-        else:  # each coordinate's index on its axis, axes[:, i]
+        if grid_points is None:  # the stream of box.sample(rng, count * width)
+            windows = np.multiply(rng.random((count, width, m)).transpose(1, 2, 0),
+                                  (box.hi - box.lo)[:, None], order="C")
+            windows += box.lo[:, None]
+        else:  # each coordinate's index on its axis, axes[:, i], as (width, m, count)
             idx = (np.stack(np.unravel_index(np.arange(start, start + count),
-                                             (grid_points,) * (width * m)), axis=-1)
-                   if full else rng.integers(0, grid_points, size=(count, width * m)))
-            windows = axes[idx.reshape(count, width, m), np.arange(m)]
-        yield start, windows.reshape(count, width, m)
+                                             (grid_points,) * (width * m)), axis=0)
+                   if full else rng.integers(0, grid_points, size=(count, width * m)).T.copy())
+            windows = axes[idx.reshape(width, m, count), np.arange(m)[:, None]]
+        yield start, windows.transpose(2, 0, 1)
 
 
 @contextmanager

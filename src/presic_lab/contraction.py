@@ -27,13 +27,13 @@ window that re-evaluates to a violation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 
 from . import dsl
 from .bmetric import CHUNK, TOL_REL, _renumber, _sample_windows, fold, max_ratio  # re-exports CHUNK
-from .errors import DegenerateDomainError, DomainError, UsageError
+from .errors import DegenerateDomainError, DomainError, NumericEvalError, UsageError
 from .operators import as_int
 
 # kind -> the ConditionSpec field that holds its constant (diagonal_strict has none)
@@ -272,11 +272,15 @@ def _window_base(op, space, kind, windows):
     max_i d(x_i, F(x_i)) for kannan, the (N, k) steps d(x_j, x_{j+1}) for
     presic_sum, else their maximum, which is d(x, y) for a diagonal pair."""
     if kind == "kannan":
-        n, width, m = windows.shape
-        flat = windows.reshape(-1, m)
-        with _renumber(lambda row: row // width):
-            diag = space.distance_batch(flat, op.diagonal_batch(flat)).reshape(n, width)
-        return fold(np.maximum, diag, 1)
+        try:  # slot by slot, on views that keep the chunk's layout
+            return reduce(np.maximum, (space.distance_batch(x, op.diagonal_batch(x))
+                                       for x in windows.transpose(1, 0, 2)))
+        except NumericEvalError:  # the window-major pass names the first bad window
+            n, width, m = windows.shape
+            flat = windows.reshape(-1, m)
+            with _renumber(lambda row: row // width):
+                space.distance_batch(flat, op.diagonal_batch(flat))
+            raise
     steps = space.distance_batch(windows[:, :-1], windows[:, 1:])  # on views of the windows
     return steps if kind == "presic_sum" else fold(np.maximum, steps, 1)
 
@@ -285,7 +289,8 @@ def _rhs(cond, base):
     """The right-hand side of `cond` from its `_window_base`."""
     field = FIELDS[cond.kind]
     if field == "r":
-        return base @ np.asarray(cond.r, dtype=float)
+        # on a C-contiguous base, so BLAS rounds the same in every layout
+        return np.ascontiguousarray(base) @ np.asarray(cond.r, dtype=float)
     if field == "phi":
         return base - cond.phi(base)
     return base if field is None else getattr(cond, field) * base
@@ -305,7 +310,9 @@ def _evaluate(op, space, cond, windows, count_outside):
         keep = base > 0
         if not keep.any():
             return windows[:0], base[:0], base[:0], 0
-        windows, base = windows[keep], base[keep]
+        # np.compress on the window axis keeps the chunk coordinate-major
+        windows = np.compress(keep, windows.transpose(1, 2, 0), axis=-1).transpose(2, 0, 1)
+        base = base[keep]
     with _renumber(lambda row: np.flatnonzero(keep)[row] if diagonal else row):
         fa, fb = op.apply_batch(windows[:, :-1]), op.apply_batch(windows[:, 1:])
         out_count = count_outside(fa, fb)

@@ -105,7 +105,7 @@ def _diagonal(op, w):  # the repeated window is a view, not a copy
 
 
 def _dsl(op, w):
-    out = np.empty((len(w), op.dimension))
+    out = np.empty((op.dimension, len(w))).T  # coordinate-major, as the windows are
     for j, expr in enumerate(op.exprs):
         # w.T[j] holds coordinate j of each window slot: row i is w[:, i, j]
         out[:, j] = dsl.evaluate(expr, dict(zip(op.variables, w.T[j])))

@@ -39,3 +39,9 @@ def builtin_spaces():
         power(3.0, box1),
         lp_truncated(0.5, box4),
     ]
+
+
+def coordinate_major(a):
+    """A copy of `a` that lies in memory with its first axis last, as the
+    sampled chunks do: C-contiguous `np.moveaxis(a, 0, -1)`."""
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(a, 0, -1)), -1, 0)

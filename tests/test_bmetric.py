@@ -24,7 +24,7 @@ from presic_lab import (
 
 from presic_lab.bmetric import CHUNK, TOL_REL, Violation, as_point, fold, leq_tol
 
-from conftest import builtin_spaces
+from conftest import builtin_spaces, coordinate_major
 
 
 class TestDistance:
@@ -106,6 +106,23 @@ class TestFold:
                 np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
             mask = arr > 0
             np.testing.assert_array_equal(fold(np.logical_and, mask, axis), mask.all(axis=axis))
+
+    def test_long_axes_round_the_same_in_every_memory_layout(self):
+        # numpy sums an axis of 8 or more pairwise only where it is contiguous
+        rng = np.random.default_rng(9)
+
+        def layouts(a):
+            return [a, np.asfortranarray(a), coordinate_major(a)]
+
+        xs, ys = rng.uniform(-1.0, 1.0, size=(2, 5000, 9))
+        space = squared_euclidean(Box(np.full(9, -1.0), np.full(9, 1.0)))
+        want = space.distance_batch(xs, ys)
+        for x, y in zip(layouts(xs), layouts(ys)):
+            np.testing.assert_array_equal(space.distance_batch(x, y), want)
+        windows = rng.uniform(-1.0, 1.0, size=(5000, 9, 1))
+        want = averaging(9).apply_batch(windows)
+        for w in layouts(windows):
+            np.testing.assert_array_equal(averaging(9).apply_batch(w), want)
 
     def test_does_not_write_to_its_input(self):
         a = np.array([[1.0, 2.0], [3.0, 4.0]])

@@ -3,6 +3,9 @@ import pytest
 
 import json
 import tracemalloc
+from functools import partial
+
+from hypothesis import given, settings, strategies as st
 
 from presic_lab import (
     Box,
@@ -36,15 +39,20 @@ from presic_lab import (
     weak_phi,
 )
 from presic_lab import problem
-from presic_lab.bmetric import TOL_REL
+from presic_lab.bmetric import TOL_REL, _sample_windows
 from presic_lab.contraction import (
     CHUNK,
     DIAGONAL_KINDS,
+    FIELDS,
     ContractionCertificate,
     ConditionSpec,
     Witness,
+    _count_outside,
+    _evaluate,
     dsl_phi,
 )
+
+from conftest import coordinate_major
 
 
 class TestPhi:
@@ -459,6 +467,12 @@ DIAGONAL_CONDITIONS = {
     "diagonal_strict": diagonal_strict(),
     "diagonal_phi": diagonal_phi(linear_phi(0.5)),
 }
+OPERATORS5 = {  # k = 5, m = 2
+    "averaging": averaging(5, dimension=2),
+    "affine": affine([0.3, -0.1, 0.05, 0.2, -0.15], offset=[0.1, -0.2], dimension=2),
+    "constant": constant([0.25, -0.5], k=5),
+    "dsl": from_dsl(["(x1 - x5)/3 + x2*x4/5", "(x3 + x5)/4 - 0.1"], k=5, dimension=2),
+}
 SAMPLE_COUNTS = (1, CHUNK - 1, CHUNK + 1, 3 * CHUNK + 7)
 
 
@@ -470,6 +484,15 @@ class TestChunkedMatchesReference:
     @pytest.mark.parametrize("cond", WINDOW_CONDITIONS)
     def test_verify_every_kind(self, cond, metric, op_kind):
         args = (OPERATORS2[op_kind], SPACES2[metric], WINDOW_CONDITIONS[cond], CHUNK + 1, 5)
+        _assert_same_certificate(verify(*args), _reference_verify(*args))
+
+    @pytest.mark.parametrize("op_kind", OPERATORS5)
+    @pytest.mark.parametrize("metric", SPACES2)
+    def test_presic_sum_on_five_steps(self, metric, op_kind):
+        # BLAS rounds the (N, 5) steps times r by their memory layout unless
+        # they are made C-contiguous first; at k = 2 both layouts agree
+        args = (OPERATORS5[op_kind], SPACES2[metric], presic_sum([0.3, 0.05, 0.2, 0.1, 0.15]),
+                CHUNK + 1, 22)
         _assert_same_certificate(verify(*args), _reference_verify(*args))
 
     @pytest.mark.parametrize("op_kind", OPERATORS2)
@@ -615,6 +638,68 @@ class TestChunkedMatchesReference:
                     estimate_constant(op, space, cond.kind, samples, 21, **grid)
 
 
+def _is_coordinate_major(a):
+    """(N, ...) `a` is a C-contiguous (..., N) array seen with N first."""
+    return np.moveaxis(a, 0, -1).flags.c_contiguous
+
+
+class TestCoordinateMajorLayout:
+    """Chunks are (width, m, N) in memory and the images keep that layout,
+    so kernel loops run along the windows; no result depends on it."""
+
+    @pytest.mark.parametrize("grid_points, samples", [(None, CHUNK + 3), (6, 0), (200, CHUNK + 3)],
+                             ids=["random", "full-grid", "grid-random"])
+    def test_every_sampler_path(self, grid_points, samples):
+        chunks = list(_sample_windows(SPACES2["euclidean"], 3, samples, 1, grid_points))
+        assert len(chunks) > 1
+        for _, w in chunks:
+            assert w.shape[1:] == (3, 2) and _is_coordinate_major(w)
+
+    def test_after_dropping_the_pairs_with_x_equal_y(self, sq_space):
+        (_, pairs), = _sample_windows(sq_space, 2, 0, 1, grid_points=3)
+        kept, *_ = _evaluate(averaging(1).diagonal, sq_space, banach(0.5), pairs, lambda *f: 0)
+        assert len(kept) == 6 and _is_coordinate_major(kept)
+
+    @pytest.mark.parametrize("op", [*OPERATORS5.values(), OPERATORS5["dsl"].diagonal],
+                             ids=[*OPERATORS5, "diagonal"])
+    def test_images_of_every_operator_kind(self, op):
+        (_, w), = _sample_windows(SPACES2["squared_euclidean"], op.arity + 1, CHUNK, 2)
+        for images in (op.apply_batch(w[:, :-1]), op.apply_batch(w[:, 1:])):
+            assert _is_coordinate_major(images)
+
+    @settings(max_examples=12)
+    @given(k=st.sampled_from([1, 2, 3, 8]), m=st.sampled_from([1, 2, 9]),
+           metric=st.sampled_from(sorted(SPACES2)), op_kind=st.sampled_from(sorted(OPERATORS2)),
+           n=st.integers(1, 1100), seed=st.integers(0, 2 ** 32 - 1))
+    @pytest.mark.parametrize("kind", FIELDS)
+    def test_evaluate_gives_the_same_bits_in_either_layout(self, kind, k, m, metric, op_kind,
+                                                           n, seed):
+        box = Box(np.full(m, -1.0), np.full(m, 1.0))
+        space = {"euclidean": euclidean, "squared_euclidean": squared_euclidean,
+                 "power": partial(power, 3.0), "lp_truncated": partial(lp_truncated, 0.5),
+                 "custom_dsl": partial(custom, f"max(abs(u1 - v1), abs(u{m} - v{m}))^2", b=2.0),
+                 }[metric](box)
+        op = {"averaging": averaging(k, dimension=m),
+              "affine": affine(np.linspace(0.4, -0.3, k) / k, offset=0.1, dimension=m),
+              "constant": constant(np.linspace(0.25, -0.5, m), k=k),
+              "dsl": from_dsl([f"x1*x{k}/2 + {j}/10" for j in range(m)], k, m)}[op_kind]
+        field = FIELDS[kind]
+        constants = {"r": tuple(np.full(k, 0.6 / k)), "kappa": 0.3, "lam": 0.2, "eta": 0.3,
+                     "phi": piecewise_phi(), "a": 0.5 / (k * space.b ** (k + 1))}
+        cond = ConditionSpec(kind, **({} if field is None else {field: constants[field]}))
+        op = op.diagonal if kind in DIAGONAL_KINDS else op
+        rng = np.random.default_rng(seed)
+        rows = rng.uniform(-1.0, 1.0, size=(n, op.arity + 1, m))
+        repeat = rng.random(n) < 0.2  # pairs with x = y, and zero steps
+        rows[repeat, -1] = rows[repeat, -2]
+        count_outside = partial(_count_outside, space, False)
+        got = _evaluate(op, space, cond, coordinate_major(rows), count_outside)
+        want = _evaluate(op, space, cond, rows, count_outside)
+        assert got[3] == want[3]
+        for a, b in zip(got[:3], want[:3]):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 class TestErrorsNameTheGlobalWindow:
     """A NumericEvalError names the window by its sample index, not its
     index in the chunk it was found in."""
@@ -649,6 +734,18 @@ class TestErrorsNameTheGlobalWindow:
         op = from_dsl("sqrt(x1 + x2 - 2e-4)/10", k=2)
         row = self._first_bad(sq_space, 3, lambda x: x < 1e-4)
         with pytest.raises(NumericEvalError, match=rf"\(row {row}\)"):
+            verify(op, sq_space, kannan(0.01), self.SAMPLES, self.SEED)
+
+    def test_kannan_diagonal_names_the_first_window_not_the_first_slot(self, sq_space):
+        # F(x) = log(max(1.99 - x, 0)) is undefined from 1.99 on, the images
+        # never are; residuals are taken slot by slot, yet the error names
+        # the first window with such a point, not the first window whose
+        # head is one
+        op = from_dsl("log(abs(x1 - x2) + max(1.99 - x2, 0))", k=2)
+        bad = _reference_sample_windows(sq_space, 3, self.SAMPLES, self.SEED)[:, :, 0] >= 1.99
+        row = np.flatnonzero(bad.any(axis=1))[0]
+        assert not bad[row, 0] and bad[row:(row // CHUNK + 1) * CHUNK, 0].any()
+        with pytest.raises(NumericEvalError, match=rf"log of a non-positive value \(row {row}\)"):
             verify(op, sq_space, kannan(0.01), self.SAMPLES, self.SEED)
 
 
