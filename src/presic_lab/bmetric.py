@@ -267,14 +267,18 @@ def _sample_windows(space, width, samples, seed, grid_points=None, budget=2_000_
     for start in range(0, total, CHUNK):
         count = min(CHUNK, total - start)
         if grid_points is None:  # the stream of box.sample(rng, count * width)
-            windows = np.multiply(rng.random((count, width, m)).transpose(1, 2, 0),
-                                  (box.hi - box.lo)[:, None], order="C")
+            windows = np.empty((width, m, count))
+            for b in range(0, count, CHUNK // 8):  # in blocks: no whole raw draw is held
+                n = min(count - b, CHUNK // 8)
+                windows[..., b:b + n] = rng.random((n, width, m)).transpose(1, 2, 0)
+            windows *= (box.hi - box.lo)[:, None]
             windows += box.lo[:, None]
         else:  # each coordinate's index on its axis, axes[:, i], as (width, m, count)
             idx = (np.stack(np.unravel_index(np.arange(start, start + count),
                                              (grid_points,) * (width * m)), axis=0)
                    if full else rng.integers(0, grid_points, size=(count, width * m)).T.copy())
             windows = axes[idx.reshape(width, m, count), np.arange(m)[:, None]]
+            del idx  # not held beside the caller's chunk while the next one is made
         yield start, windows.transpose(2, 0, 1)
 
 
@@ -294,15 +298,16 @@ def max_ratio(chunks):
     """The first strict maximum of num/den over (items, num, den) chunks.
 
     Returns (ratio, (item, num, den)) at that row, or (-inf, None) when no
-    row has den > 0; those rows are skipped. A NaN ratio is kept once
-    reached, as np.argmax keeps the first NaN.
+    row has den > 0; those rows, and empty chunks, are skipped.
     """
     best, at = -np.inf, None
     for items, num, den in chunks:
         ok = den > 0
+        if not ok.any():
+            continue
         ratio = np.where(ok, num / np.where(ok, den, 1.0), -np.inf)
         i = int(np.argmax(ratio))
-        if not (np.isnan(best) or ratio[i] <= best):
+        if ratio[i] > best:
             best, at = float(ratio[i]), (items[i].copy(), float(num[i]), float(den[i]))
     return best, at
 

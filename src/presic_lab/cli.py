@@ -50,22 +50,25 @@ def _seed(args, prob=None):
     return 0
 
 
+def _grid_points(args):
+    """--grid-points, which implies --grid, else 25 with --grid, else None."""
+    return 25 if args.grid_points is None and args.grid else args.grid_points
+
+
 def cmd_verify(args):
     prob = problem_mod.load(args.problem)
     if prob.condition is None:
         raise UsageError("problem file has no 'condition' block")
-    seed = _seed(args)
-    grid = args.grid_points if args.grid else None
-    cert = contraction.verify(prob.operator, prob.space, prob.condition, args.samples, seed,
-                              grid_points=grid, strict_domain=args.strict_domain)
+    cert = contraction.verify(prob.operator, prob.space, prob.condition, args.samples, _seed(args),
+                              grid_points=_grid_points(args), strict_domain=args.strict_domain)
     _emit(cert.to_dict(), args)
     return 0 if cert.passed else 1
 
 
-def _solve_trace(prob, args, seed):
+def _solve_trace(prob, args, seed, picard):
     if prob.solve is None:
         raise UsageError("problem file has no 'solve' block")
-    op = prob.operator.diagonal if args.picard else prob.operator
+    op = prob.operator.diagonal if picard else prob.operator
     start = prob.solve["start"]
     if isinstance(start, str):  # "random": one point for Picard, else k
         start = prob.space.domain.sample(np.random.default_rng(seed), op.arity)
@@ -77,7 +80,7 @@ def _solve_trace(prob, args, seed):
 def cmd_solve(args):
     prob = problem_mod.load(args.problem)
     seed = _seed(args, prob)
-    trace = _solve_trace(prob, args, seed)
+    trace = _solve_trace(prob, args, seed, args.picard)
     if args.format == "csv":
         buf = io.StringIO()
         csv.writer(buf).writerows(trace.to_csv_rows())
@@ -91,8 +94,8 @@ def cmd_solve(args):
 
 def cmd_bounds(args):
     prob = problem_mod.load(args.problem)
-    if args.eta is None and args.a is None:
-        raise UsageError("bounds requires --eta or --a")
+    if (args.eta is None) == (args.a is None):
+        raise UsageError("bounds requires one of --eta and --a")
     k, b = prob.operator.arity, prob.space.b
     if args.eta is not None:
         option, value, cond = "--eta", args.eta, contraction.ciric_max(args.eta)
@@ -102,9 +105,8 @@ def cmd_bounds(args):
         cond.validate(k=k, b=b)
     except UsageError as exc:
         raise UsageError(f"{option} {value}: {exc}") from None
-    if args.eta is None and not args.picard:
-        raise UsageError("--a bounds hold along the Picard scheme: add --picard")
-    trace = _solve_trace(prob, args, _seed(args, prob))
+    # --a's tail bounds hold along the Picard scheme, so --a implies --picard
+    trace = _solve_trace(prob, args, _seed(args, prob), args.picard or args.a is not None)
     if args.eta is not None:
         payload = solver.presic_bounds(trace, args.eta, b, k).to_dict()
         payload["alphas"] = [float(v) for v in trace.alphas]
@@ -116,9 +118,8 @@ def cmd_bounds(args):
 
 def cmd_estimate_b(args):
     prob = problem_mod.load(args.problem)
-    seed = _seed(args)
-    grid = args.grid_points if args.grid else None
-    result = bmetric.estimate_b(prob.space, args.samples, seed, grid_points=grid)
+    result = bmetric.estimate_b(prob.space, args.samples, _seed(args),
+                                grid_points=_grid_points(args))
     payload = {
         "b_hat": result["b_hat"],
         "declared_b": prob.space.b,
@@ -222,7 +223,7 @@ OPTIONS = {
     "--out": dict(type=str, default=None),
     "--format": dict(choices=("json", "csv"), default="json"),
     "--grid": dict(action="store_true", help="deterministic grid sampling instead of random"),
-    "--grid-points": dict(type=int, default=25),
+    "--grid-points": dict(type=int, default=None, help="implies --grid; 25 if unset"),
     "--picard": dict(action="store_true",
                      help="iterate the diagonal map instead of the k-step scheme"),
     "--strict-domain": dict(action="store_true"),

@@ -351,7 +351,7 @@ def verify(op, space, cond, samples, seed, grid_points=None, strict_domain=False
             witness = Witness(windows[i].copy(), float(lhs[i]), float(rhs[i]),
                               tie=strict and bool(tie[i]))
         count += len(windows)
-        slack_min = np.minimum(slack_min, (rhs - lhs).min(initial=np.inf))  # keeps a NaN
+        slack_min = np.minimum(slack_min, (rhs - lhs).min(initial=np.inf))
         out_of_domain += out_count
     if count == 0:
         raise DegenerateDomainError("no sampled pair has x != y")
@@ -380,8 +380,7 @@ def estimate_constant(op, space, kind, samples, seed, grid_points=None):
         for offset, windows in _sample_windows(space, op.arity + 1, samples, seed, grid_points):
             with _renumber(offset.__add__):
                 windows, lhs, rhs, _ = _evaluate(op, space, unit, windows, lambda *images: 0)
-            if len(windows):  # max_ratio needs a row; banach may drop every pair
-                yield windows, lhs, rhs
+            yield windows, lhs, rhs
 
     best, at = max_ratio(chunks())
     if at is None:

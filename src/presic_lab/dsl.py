@@ -1,6 +1,6 @@
 """Small arithmetic expression language for user-defined operators and metrics.
 
-Grammar (EBNF), whitespace-insensitive::
+Grammar (EBNF); whitespace (str.isspace) may stand between tokens::
 
     expression = term , { ("+" | "-") , term } ;
     term       = unary , { ("*" | "/") , unary } ;
@@ -9,10 +9,13 @@ Grammar (EBNF), whitespace-insensitive::
     atom       = number | variable | call | "(" , expression , ")" ;
     call       = ("abs"|"min"|"max"|"sqrt"|"exp"|"log") , "(" , expression ,
                  { "," , expression } , ")" ;
+    number     = ? digits with an optional "." and exponent: 2, 2., .5, 1.5e-3 ? ;
+    variable   = ? a letter or "_", then letters, digits or "_" (str.isalnum) ? ;
 
 ``^`` binds tighter than unary minus, so ``-x1^2`` parses as ``-(x1^2)``.
 Variables are context-dependent: ``x1..xk`` for operator bodies, ``u1..um``
-and ``v1..vm`` for custom metrics, ``t`` for gauge functions.
+and ``v1..vm`` for custom metrics, ``t`` for gauge functions. A DslSyntaxError
+gives the offending token's line and column from 1; a tab or CR is one column.
 
 Evaluation is IEEE double precision and vectorizes over numpy arrays bound
 in the environment. Undefined operations (division by zero, log of a
@@ -39,12 +42,6 @@ class DslSyntaxError(UsageError):
         super().__init__(f"{message} (line {line}, column {column})")
         self.line = line
         self.column = column
-
-
-_FUNCTIONS = {"abs": 1, "sqrt": 1, "exp": 1, "log": 1, "min": None, "max": None}
-
-_NUMBER_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
-_PUNCTUATION = {**dict.fromkeys("+-*/^", "op"), "(": "lparen", ")": "rparen", ",": "comma"}
 
 
 # --- AST -------------------------------------------------------------------
@@ -92,49 +89,45 @@ class Call(Expr):
 
 # --- tokenizer -------------------------------------------------------------
 
+# One named group per token kind, after any whitespace. [^\W\d] also admits
+# a non-decimal digit such as "²", which _tokenize rejects as it does "bad".
+_TOKEN_RE = re.compile(r"""\s*(?:
+    (?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?) | (?P<ident>[^\W\d]\w*)
+  | (?P<op>[-+*/^]) | (?P<lparen>\() | (?P<rparen>\)) | (?P<comma>,)
+  | (?P<end>\Z) | (?P<bad>.))""", re.VERBOSE | re.DOTALL)
+
+
 @dataclass(frozen=True)
 class _Token:
     kind: str  # num | ident | op | lparen | rparen | comma | end
     text: str
-    line: int
-    column: int
+    offset: int
+
+
+def _syntax_error(message, source, offset):
+    """DslSyntaxError at `offset` in `source`, with its line and column."""
+    column = offset - source.rfind("\n", 0, offset)
+    return DslSyntaxError(message, source.count("\n", 0, offset) + 1, column)
 
 
 def _tokenize(source):
+    """The tokens of `source`, the last one of kind "end"."""
     tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch.isspace():
-            line, col = (line + 1, 1) if ch == "\n" else (line, col + 1)
-            i += 1
-            continue
-        number = _NUMBER_RE.match(source, i)
-        if number:
-            kind, text = "num", number.group(0)
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            kind, text = "ident", source[i:j]
-        elif ch in _PUNCTUATION:
-            kind, text = _PUNCTUATION[ch], ch
-        else:
-            raise DslSyntaxError(f"unexpected character {ch!r}", line, col)
-        tokens.append(_Token(kind, text, line, col))
-        col += len(text)
-        i += len(text)
-    tokens.append(_Token("end", "", line, col))
-    return tokens
+    for match in _TOKEN_RE.finditer(source):
+        kind, text = match.lastgroup, match[match.lastgroup]
+        if kind == "bad" or kind == "ident" and not (text[0].isalpha() or text[0] == "_"):
+            raise _syntax_error(f"unexpected character {text[0]!r}", source, match.start(kind))
+        tokens.append(_Token(kind, text, match.start(kind)))
+        if kind == "end":
+            return tokens
 
 
 # --- parser ----------------------------------------------------------------
 
 class _Parser:
-    def __init__(self, tokens, variables):
-        self.tokens = tokens
+    def __init__(self, source, variables):
+        self.source = source
+        self.tokens = _tokenize(source)
         self.pos = 0
         self.variables = frozenset(variables)
 
@@ -146,9 +139,13 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def expect(self, kind, message):
+        if self.peek().kind != kind:
+            self.fail(message)
+        return self.advance()
+
     def fail(self, message, tok=None):
-        tok = tok or self.peek()
-        raise DslSyntaxError(message, tok.line, tok.column)
+        raise _syntax_error(message, self.source, (tok or self.peek()).offset)
 
     def parse_left_associative(self, ops, parse_operand):
         node = parse_operand()
@@ -176,42 +173,29 @@ class _Parser:
         return base
 
     def parse_atom(self):
-        tok = self.peek()
+        tok = self.advance()
         if tok.kind == "num":
-            self.advance()
             return Num(float(tok.text))
         if tok.kind == "lparen":
-            self.advance()
             node = self.parse_expression()
-            if self.peek().kind != "rparen":
-                self.fail("expected ')'")
-            self.advance()
+            self.expect("rparen", "expected ')'")
             return node
-        if tok.kind == "ident":
-            self.advance()
-            if tok.text in _FUNCTIONS:
-                if self.peek().kind != "lparen":
-                    self.fail(f"function {tok.text!r} requires arguments")
+        if tok.kind == "ident" and tok.text in _FUNCTIONS:
+            self.expect("lparen", f"function {tok.text!r} requires arguments")
+            args = [self.parse_expression()]
+            while self.peek().kind == "comma":
                 self.advance()
-                args = [self.parse_expression()]
-                while self.peek().kind == "comma":
-                    self.advance()
-                    args.append(self.parse_expression())
-                if self.peek().kind != "rparen":
-                    self.fail("expected ')'")
-                self.advance()
-                arity = _FUNCTIONS[tok.text]
-                if arity is not None and len(args) != arity:
-                    self.fail(f"{tok.text} takes {arity} argument(s), got {len(args)}", tok)
-                if arity is None and len(args) < 2:
-                    self.fail(f"{tok.text} takes at least 2 arguments", tok)
-                return Call(tok.text, tuple(args))
-            if tok.text in self.variables:
-                return Var(tok.text)
-            self.fail(f"unknown identifier {tok.text!r}", tok)
-        if tok.kind == "end":
-            self.fail("unexpected end of input")
-        self.fail(f"unexpected token {tok.text!r}")
+                args.append(self.parse_expression())
+            self.expect("rparen", "expected ')'")
+            if tok.text in _UNARY and len(args) != 1:
+                self.fail(f"{tok.text} takes 1 argument(s), got {len(args)}", tok)
+            if tok.text in _VARIADIC and len(args) < 2:
+                self.fail(f"{tok.text} takes at least 2 arguments", tok)
+            return Call(tok.text, tuple(args))
+        if tok.kind == "ident" and tok.text in self.variables:
+            return Var(tok.text)
+        self.fail({"ident": f"unknown identifier {tok.text!r}", "end": "unexpected end of input"}
+                  .get(tok.kind, f"unexpected token {tok.text!r}"), tok)
 
 
 def operator_variables(arity):
@@ -229,11 +213,9 @@ def parse(source, variables):
     """Parse ``source`` into an Expr; ``variables`` lists the legal names."""
     if not source or not source.strip():
         raise UsageError("empty expression")
-    tokens = _tokenize(source)
-    parser = _Parser(tokens, variables)
+    parser = _Parser(source, variables)
     node = parser.parse_expression()
-    if parser.peek().kind != "end":
-        parser.fail(f"trailing input {parser.peek().text!r}")
+    parser.expect("end", f"trailing input {parser.peek().text!r}")
     return node
 
 
@@ -290,6 +272,8 @@ _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "^": _pow,
 _UNARY = {"abs": np.abs, "exp": _exp,
           "sqrt": _guard(np.sqrt, lambda a: a < 0, "sqrt of a negative value"),
           "log": _guard(np.log, lambda a: a <= 0, "log of a non-positive value")}
+_VARIADIC = {"min": np.minimum, "max": np.maximum}
+_FUNCTIONS = _UNARY.keys() | _VARIADIC.keys()
 
 
 def _closure(node):
@@ -312,8 +296,8 @@ def _closure(node):
         binary = _BINARY[node.op]
         return lambda env: binary(left(env), right(env))
     args = [_closure(a) for a in node.args]
-    if node.func in ("min", "max"):
-        ufunc = np.minimum if node.func == "min" else np.maximum
+    if node.func in _VARIADIC:
+        ufunc = _VARIADIC[node.func]
         return lambda env: functools.reduce(ufunc, [a(env) for a in args])
     unary, (arg,) = _UNARY[node.func], args
     return lambda env: unary(arg(env))
@@ -324,27 +308,3 @@ def evaluate(expr, env):
     its closures, which the first evaluation builds."""
     return expr.closure(env)
 
-
-def format_expr(expr):
-    """Canonical fully-parenthesized rendering; parses back to an equivalent Expr."""
-    if isinstance(expr, Num):
-        v = expr.value
-        if v == int(v) and abs(v) < 1e16:
-            return str(int(v))
-        return repr(v)
-    if isinstance(expr, Var):
-        return expr.name
-    if isinstance(expr, Neg):
-        inner = format_expr(expr.operand)
-        if isinstance(expr.operand, (Num, Var)):
-            return f"-{inner}"
-        return f"-{inner}" if inner.startswith("(") else f"-({inner})"
-    if isinstance(expr, BinOp):
-        left = format_expr(expr.left)
-        right = format_expr(expr.right)
-        if expr.op == "^":
-            return f"({left}^{right})"
-        return f"({left} {expr.op} {right})"
-    if isinstance(expr, Call):
-        return f"{expr.func}({', '.join(format_expr(a) for a in expr.args)})"
-    raise AssertionError(type(expr))

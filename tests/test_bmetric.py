@@ -22,7 +22,8 @@ from presic_lab import (
     verify,
 )
 
-from presic_lab.bmetric import CHUNK, TOL_REL, Violation, as_point, fold, leq_tol
+from presic_lab.bmetric import (CHUNK, TOL_REL, Violation, _sample_windows, as_point, fold,
+                                leq_tol, max_ratio)
 
 from conftest import builtin_spaces, coordinate_major
 
@@ -462,6 +463,33 @@ class TestStreamedAxiomChecks:
         assert large[1] > 60_000
         assert large[0] <= 1.5 * small[0]
 
+
+@pytest.mark.parametrize("grid_points, chunks", [(None, 2.25), (3, 3.05)],
+                         ids=["random", "random-grid"])  # 3^16 windows exceed the grid budget
+def test_sampler_peak_in_chunks(grid_points, chunks):
+    # the caller's loop variable holds one chunk while the next is made; the
+    # random path draws the next in blocks into its buffer, and the grid path
+    # drops its index array before the yield
+    space = euclidean(Box(np.zeros(4), np.ones(4)))
+    chunk_bytes = CHUNK * 4 * 4 * 8  # width 4 and m = 4 in float64: 1 MiB
+    list(_sample_windows(space, 4, 10, 0, grid_points))  # one-time allocations
+    tracemalloc.start()
+    try:
+        for _ in _sample_windows(space, 4, 250_000, 0, grid_points):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= chunks * chunk_bytes
+
+
+def test_max_ratio_skips_empty_and_degenerate_chunks():
+    empty = (np.zeros((0, 2)), np.zeros(0), np.zeros(0))
+    degenerate = (np.ones((2, 2)), np.ones(2), np.zeros(2))
+    assert max_ratio([empty, degenerate]) == (-np.inf, None)
+    ratio, (item, num, den) = max_ratio([empty, (np.eye(2), np.array([1.0, 3.0]),
+                                                 np.array([2.0, 2.0])), empty])
+    assert (ratio, num, den) == (1.5, 3.0, 2.0) and item.tolist() == [0.0, 1.0]
 
 class TestErrorsNameTheGlobalTriple:
     """A custom metric that fails names the triple by its sample index,

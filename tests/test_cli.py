@@ -139,6 +139,21 @@ def test_grid_points_below_one_is_usage_error(capsys, command, points):
     assert code == 2
     assert out == ""
     assert "grid_points must be >= 1" in capsys.readouterr().err
+    # without --grid too: --grid-points implies it, and was ignored before
+    assert run_cli(command, str(PROBLEMS / "averaging_k1.json"), "--grid-points", points) == (2, "")
+
+
+@pytest.mark.parametrize("command", ["verify", "estimate-b"])
+def test_grid_points_implies_grid(command):
+    path = str(PROBLEMS / "averaging_k1.json")
+    _, implied = run_cli(command, path, "--grid-points", "7", "--seed", "3")
+    _, explicit = run_cli(command, path, "--grid", "--grid-points", "7", "--seed", "3")
+    _, default = run_cli(command, path, "--grid", "--grid-points", "25", "--seed", "3")
+    _, bare = run_cli(command, path, "--grid", "--seed", "3")
+    _, random = run_cli(command, path, "--seed", "3")
+    assert strip_timestamp(implied) == strip_timestamp(explicit)
+    assert strip_timestamp(bare) == strip_timestamp(default)
+    assert strip_timestamp(implied) != strip_timestamp(random)
 
 
 @pytest.mark.parametrize("command, blocks, options", [
@@ -275,9 +290,9 @@ class TestBoundsCommand:
         assert code == 2 and out == ""
         assert named in capsys.readouterr().err
 
-    def test_kannan_without_picard_is_usage_error(self, tmp_path, capsys):
-        # the Kannan tail bound holds along the Picard scheme; on this k=2
-        # problem the k-step trace breaks it
+    def test_kannan_implies_picard(self, tmp_path):
+        # the Kannan tail bound holds along the Picard scheme, so --a runs it;
+        # on this k=2 problem the k-step trace breaks the bound
         path = tmp_path / "kannan_k2.json"
         path.write_text(json.dumps({
             "space": {"kind": "euclidean", "dim": 1, "box": {"lo": [-2.0], "hi": [2.0]}},
@@ -285,16 +300,22 @@ class TestBoundsCommand:
             "condition": {"kind": "kannan", "a": 0.2},
             "solve": {"start": [[1.0], [1.0]], "seed": 0}}))
         code, out = run_cli("bounds", str(path), "--a", "0.2")
-        assert code == 2
-        assert out == ""
-        assert "--picard" in capsys.readouterr().err
-        code, out = run_cli("bounds", str(path), "--a", "0.2", "--picard")
         assert code == 0
         assert json.loads(out)["all_steps_within"]
+        code, with_flag = run_cli("bounds", str(path), "--a", "0.2", "--picard")
+        assert code == 0
+        assert strip_timestamp(out) == strip_timestamp(with_flag)
 
     def test_requires_a_constant(self):
         code, _ = run_cli("bounds", str(PROBLEMS / "averaging_k1.json"))
         assert code == 2
+
+    def test_eta_and_a_together_is_usage_error(self, capsys):
+        # --a was dropped silently, and the --eta bounds printed
+        code, out = run_cli("bounds", str(PROBLEMS / "averaging_k1.json"),
+                            "--eta", "0.5", "--a", "0.1")
+        assert code == 2 and out == ""
+        assert "bounds requires one of --eta and --a" in capsys.readouterr().err
 
 
 class TestEstimateBCommand:

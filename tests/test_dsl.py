@@ -14,7 +14,6 @@ from presic_lab.dsl import (
     Var,
     _fail,
     evaluate,
-    format_expr,
     metric_variables,
     operator_variables,
     parse,
@@ -61,6 +60,19 @@ class TestParseEval:
         expr = parse("(x1 + x2)/4", ["x1", "x2"])
         out = evaluate(expr, {"x1": np.array([1.0, 2.0]), "x2": np.array([3.0, 2.0])})
         np.testing.assert_array_equal(out, [1.0, 1.0])
+
+    def test_eval_matches_hand_coded_averaging(self):
+        rng = np.random.default_rng(7)
+        for k in (1, 2, 5):
+            src = "(" + "+".join(f"x{i}" for i in range(1, k + 1)) + f")/{2 * k}"
+            expr = parse(src, operator_variables(k))
+            for _ in range(200):
+                xs = rng.uniform(0, 2, size=k)
+                env = {f"x{i + 1}": xs[i] for i in range(k)}
+                acc = xs[0]  # same left-to-right fold as the expression
+                for v in xs[1:]:
+                    acc = acc + v
+                assert evaluate(expr, env) == acc / (2 * k)
 
 
 class TestErrors:
@@ -111,51 +123,55 @@ class TestErrors:
         with pytest.raises(NumericEvalError, match=r"\(row 1\)$"):
             evaluate(parse(source, ["x1"]), {"x1": np.array(bad).reshape(2, 2)})
 
+    # (source, message) as the character-by-character tokenizer raised them
+    @pytest.mark.parametrize("source, message", [
+        ("x1 +\n  $", "unexpected character '$' (line 2, column 3)"),
+        ("x1\t+\t@", "unexpected character '@' (line 1, column 6)"),
+        ("x1 +\f#", "unexpected character '#' (line 1, column 6)"),
+        ("x1 +\r\n x2 )", "trailing input ')' (line 2, column 5)"),
+        ("x1\n\n  * (x2 ,", "expected ')' (line 3, column 9)"),
+        ("x1 \u00a0 $", "unexpected character '$' (line 1, column 6)"),
+        ("\u00e9 + x1", "unknown identifier '\u00e9' (line 1, column 1)"),
+        ("x\u0661", "unknown identifier 'x\u0661' (line 1, column 1)"),
+        ("x1 + \u00b2", "unexpected character '\u00b2' (line 1, column 6)"),
+        ("x1 + \u00b2x1", "unexpected character '\u00b2' (line 1, column 6)"),
+        ("x1 +\n  ", "unexpected end of input (line 2, column 3)"),
+        ("(x1 + 1", "expected ')' (line 1, column 8)"),
+        ("x1 + 1 x2", "trailing input 'x2' (line 1, column 8)"),
+        ("x1 1.5e3", "trailing input '1.5e3' (line 1, column 4)"),
+        ("1.5e", "trailing input 'e' (line 1, column 4)"),
+        ("x1 ^ ^ 2", "unexpected token '^' (line 1, column 6)"),
+        ("3 + ,", "unexpected token ',' (line 1, column 5)"),
+        ("\tmin(x1)", "min takes at least 2 arguments (line 1, column 2)"),
+        ("abs", "function 'abs' requires arguments (line 1, column 4)"),
+        ("abs(x1, x2)", "abs takes 1 argument(s), got 2 (line 1, column 1)"),
+        ("x1 ) $", "unexpected character '$' (line 1, column 6)"),  # before the parse
+    ])
+    def test_syntax_errors_are_pinned(self, source, message):
+        with pytest.raises(DslSyntaxError) as exc:
+            parse(source, ["x1", "x2"])
+        assert str(exc.value) == message
+        assert message.endswith(f"(line {exc.value.line}, column {exc.value.column})")
+
+    def test_unicode_identifier_and_digits(self):
+        assert ev("\u03bb1 * x1 + \u0661", ["\u03bb1", "x1"], **{"\u03bb1": 2.0, "x1": 3.0}) == 7.0
+
     def test_no_nan_propagation(self):
         # structured error, not a silent NaN
         with pytest.raises(NumericEvalError):
             ev("(-1)^0.5", [])
 
 
-class TestFormat:
-    def test_precedence_rendering(self):
-        assert format_expr(parse("x1+x2*x3", operator_variables(3))) == "(x1 + (x2 * x3))"
+class TestPrecedence:
+    def test_product_binds_tighter_than_sum(self):
+        assert ev("x1+x2*x3", operator_variables(3), x1=1.0, x2=2.0, x3=3.0) == 7.0
 
-    def test_unary_minus_vs_power(self):
-        assert format_expr(parse("-x1^2", ["x1"])) == "-(x1^2)"
+    def test_unary_minus_applies_after_the_power(self):
+        assert ev("-x1^2", ["x1"], x1=3.0) == -9.0
 
-    def test_roundtrip_is_fixpoint(self):
-        sources = ["(x1 + x2)/4", "-x1^2", "min(x1, max(x2, 0.5))",
-                   "abs(x1 - x2)^2 + sqrt(x2)", "x1*x2 - x2/x1 + 1.5e2"]
-        for src in sources:
-            e1 = parse(src, ["x1", "x2"])
-            e2 = parse(format_expr(e1), ["x1", "x2"])
-            assert format_expr(e2) == format_expr(e1)
-
-    def test_roundtrip_evaluates_identically(self):
-        # exact double equality on 1000 random environments
-        rng = np.random.default_rng(42)
-        sources = ["(x1 + x2)/4", "-x1^2 + x2^3", "min(x1, max(x2, 0.5)) * exp(-x1)",
-                   "abs(x1 - x2)^2 + sqrt(abs(x2))"]
-        for src in sources:
-            e1 = parse(src, ["x1", "x2"])
-            e2 = parse(format_expr(e1), ["x1", "x2"])
-            for _ in range(1000):
-                env = {"x1": rng.uniform(0.1, 3), "x2": rng.uniform(0.1, 3)}
-                assert evaluate(e1, env) == evaluate(e2, env)
-
-    def test_eval_matches_hand_coded_averaging(self):
-        rng = np.random.default_rng(7)
-        for k in (1, 2, 5):
-            src = "(" + "+".join(f"x{i}" for i in range(1, k + 1)) + f")/{2 * k}"
-            expr = parse(src, operator_variables(k))
-            for _ in range(200):
-                xs = rng.uniform(0, 2, size=k)
-                env = {f"x{i + 1}": xs[i] for i in range(k)}
-                acc = xs[0]  # same left-to-right fold as the expression
-                for v in xs[1:]:
-                    acc = acc + v
-                assert evaluate(expr, env) == acc / (2 * k)
+    def test_sum_and_product_are_left_associative(self):
+        assert ev("x1-x2-x3", operator_variables(3), x1=1.0, x2=2.0, x3=3.0) == -4.0
+        assert ev("x1/x2/x3", operator_variables(3), x1=12.0, x2=2.0, x3=3.0) == 2.0
 
 
 # --- the closures against a walk over the tree ---------------------------------
