@@ -71,7 +71,8 @@ class Box:
 
     lo: np.ndarray
     hi: np.ndarray
-    # the bounds widened by the tolerance rule with R = lo and R = hi
+    # the bounds widened by the tolerance rule with R = lo and R = hi, kept
+    # finite so that no bound admits ±inf and a point inside is finite
     lo_tol: np.ndarray = field(init=False, repr=False, compare=False)
     hi_tol: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -88,8 +89,12 @@ class Box:
             raise UsageError("box requires lo[i] <= hi[i]")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "lo_tol", lo - TOL_REL * (1.0 + np.abs(lo)))
-        object.__setattr__(self, "hi_tol", hi + TOL_REL * (1.0 + np.abs(hi)))
+        big = np.finfo(float).max
+        with np.errstate(over="ignore"):  # the widening overflows next to ±big
+            lo_tol = np.maximum(lo - TOL_REL * (1.0 + np.abs(lo)), -big)
+            hi_tol = np.minimum(hi + TOL_REL * (1.0 + np.abs(hi)), big)
+        object.__setattr__(self, "lo_tol", lo_tol)
+        object.__setattr__(self, "hi_tol", hi_tol)
 
     @property
     def dimension(self):

@@ -68,10 +68,10 @@ class IterationTrace:
 
     def to_dict(self):
         out = {
-            "points": [[float(v) for v in row] for row in self.points],
-            "alphas": [float(a) for a in self.alphas],
+            "points": self.points.tolist(),
+            "alphas": self.alphas.tolist(),
             "stop_reason": self.stop_reason,
-            "limit": [float(v) for v in self.limit] if self.limit is not None else None,
+            "limit": self.limit.tolist() if self.limit is not None else None,
             "final_residual": self.final_residual,
             "fitted_rate": self.fitted_rate,
         }
@@ -80,9 +80,10 @@ class IterationTrace:
     def to_csv_rows(self):
         """Rows (n, x, alpha_n); coordinates are ';'-joined."""
         rows = [("n", "x", "alpha_n")]
-        for i, pt in enumerate(self.points):
-            alpha = repr(float(self.alphas[i])) if i < len(self.alphas) else ""
-            rows.append((str(i + 1), ";".join(repr(float(v)) for v in pt), alpha))
+        alphas = [repr(a) for a in self.alphas.tolist()]
+        for i, pt in enumerate(self.points.tolist()):
+            rows.append((str(i + 1), ";".join(map(repr, pt)),
+                         alphas[i] if i < len(alphas) else ""))
         return rows
 
 
@@ -91,14 +92,17 @@ def _run(op, space, seeds, stop, strict_domain):
     rule fires; return the S traces in run order.
 
     The seeds are checked here, once. Each step then advances every live run
-    with one call each of the operator kernel, the finiteness check,
-    `contains` and the metric kernel, on views of float64 (S, cap, m) and
-    (S, cap) buffers that double up to max_iterations. `op` is applied to a
-    run's last k points; for Picard iteration `op` is `op.diagonal`, whose
-    one-point window is the last point. The stop rules read the step
+    with one call each of the operator and metric kernels, on views of
+    float64 (S, cap, m) and (S, cap) buffers that double up to
+    max_iterations. `op` is applied to a run's last k points; for Picard
+    iteration `op` is `op.diagonal`, whose one-point window is the last
+    point. Between the kernels one compare against the box's widened bounds
+    tests the domain and, as it fails at NaN and ±inf, finiteness too; a
+    step that fails it runs `check_finite` first, so a non-finite point is
+    a NumericEvalError before any DomainError. The stop rules read the step
     distances as Python floats; the residuals d(x, F(x)) of the runs whose
-    step met step_tol take one more operator and metric kernel call, for all
-    of them.
+    step met step_tol take one more operator and metric kernel call, for
+    all of them.
     When a run stops, its trace is cut out and the buffers keep only the
     live rows.
 
@@ -116,7 +120,10 @@ def _run(op, space, seeds, stop, strict_domain):
     k, limit = op.arity, stop.max_iterations
     f = operators.KERNELS[op.kind]
     d = bmetric.KERNELS[space.kind]
-    inside = space.domain.contains
+    # the box's bounds shaped (1, m) as a step's (S, m) output is: a compare
+    # that broadcasts across a missing axis costs twice as much at one row
+    lo_tol, hi_tol = space.domain.lo_tol[None], space.domain.hi_tol[None]
+    step_tol = stop.step_tol
     cap = max(n, min(_INITIAL_CAPACITY, limit))
     points = np.empty((runs, cap, m))
     alphas = np.empty((runs, cap))
@@ -143,12 +150,15 @@ def _run(op, space, seeds, stop, strict_domain):
             alphas = np.concatenate([alphas, np.empty((len(ids), cap - n))], axis=1)
             at_step, alphas_at_step = points.swapaxes(0, 1), alphas.T
         try:
-            nxt = operators.check_finite(f(op, points[:, n - k:n]))
+            nxt = f(op, points[:, n - k:n])
+            inside = (nxt >= lo_tol) & (nxt <= hi_tol)  # False at NaN and ±inf too
+            left = np.count_nonzero(inside) < inside.size  # a fifth of inside.all()'s cost
+            if left:
+                operators.check_finite(nxt)
         except NumericEvalError as err:
             raise _renumbered(err, ids) from None
-        inside_rows = inside(nxt).tolist()
-        if not all(inside_rows):
-            for r, ok in enumerate(inside_rows):
+        if left:
+            for r, ok in enumerate(inside.all(axis=1).tolist()):
                 if not ok:
                     if strict_domain:
                         raise DomainError(_in_run("iterate left the domain in strict mode",
@@ -166,7 +176,7 @@ def _run(op, space, seeds, stop, strict_domain):
                     f"non-finite result in {space.distance_name} alpha_{n}", ids[r], runs))
             if a > blowup[r]:
                 stopped[r] = ("diverged", None)
-            elif a <= stop.step_tol:
+            elif a <= step_tol:
                 near.append(r)
         if near:
             x = nxt[near]
@@ -274,7 +284,7 @@ class BoundReport:
             "theta": self.theta,
             "K": self.K,
             "b": self.b,
-            "per_step_bounds": [float(v) for v in self.per_step_bounds],
+            "per_step_bounds": self.per_step_bounds.tolist(),
             "all_steps_within": self.all_steps_within,
         }
 
@@ -292,10 +302,10 @@ def presic_bounds(trace, eta, b, k):
     if len(alphas) < k:
         raise UsageError(f"trace too short: need at least k+1={k + 1} points")
     theta = eta ** (1.0 / k)
-    K = float(max(alphas[i] / theta ** (i + 1) for i in range(k)))
+    K = float(max(a / theta ** i for i, a in enumerate(alphas[:k].tolist(), 1)))
     n = np.arange(1, len(alphas) + 1, dtype=float)
     per_step = b ** k * K * theta ** n
-    within = bool(np.all(leq_tol(alphas, per_step)))
+    within = bool(leq_tol(alphas, per_step).all())
     return BoundReport(theta=theta, K=K, b=float(b),
                        per_step_bounds=per_step, all_steps_within=within)
 
@@ -335,14 +345,14 @@ def estimate_rate(trace):
     exponentiated; None when fewer than 8 nonzero alphas.
     """
     alphas = np.asarray(trace.alphas, dtype=float)
-    mask = alphas > 0
-    if mask.sum() < 8:
+    idx = np.nonzero(alphas > 0)[0]
+    if len(idx) < 8:
         return None
-    idx = np.nonzero(mask)[0]
     tail = idx[len(idx) // 2:]
-    x = tail - tail.mean()
+    # the means as .mean() takes them, without its Python-level wrapper
+    x = tail - np.add.reduce(tail, dtype=float) / len(tail)
     y = np.log(alphas[tail])
-    slope = np.dot(x, y - y.mean()) / np.dot(x, x)
+    slope = np.dot(x, y - np.add.reduce(y) / len(y)) / np.dot(x, x)
     return float(np.exp(slope))
 
 
@@ -356,6 +366,5 @@ def cauchy_profile(trace, space, P):
         return np.empty(0)
     out = np.zeros(n_max)
     for p in range(1, P + 1):
-        d = space.distance_batch(pts[:n_max], pts[p:p + n_max])
-        out = np.maximum(out, d)
+        np.maximum(out, space.distance_batch(pts[:n_max], pts[p:p + n_max]), out=out)
     return out

@@ -172,6 +172,16 @@ class TestBoxContains:
         np.testing.assert_array_equal(
             box.contains([[1e12 + 1e4], [-1e-8], [2e12]]), [False] * 3)
 
+    @pytest.mark.parametrize("lo, hi", [(-np.finfo(float).max, 0.0), (0.0, np.finfo(float).max)])
+    def test_bounds_at_the_largest_float_stay_finite(self, lo, hi):
+        # widening -max or max overflows: a bound of ±inf would admit ±inf,
+        # and the overflow warning is an error here
+        box = Box([lo], [hi])
+        assert np.isfinite(box.lo_tol).all() and np.isfinite(box.hi_tol).all()
+        np.testing.assert_array_equal(
+            box.contains([[lo], [hi], [-np.inf], [np.inf], [np.nan]]),
+            [True, True, False, False, False])
+
     def test_unit_box_edges(self, unit_box):
         np.testing.assert_array_equal(
             unit_box.contains([[0.0], [2.0], [2.0 + 2e-9], [-0.5e-9]]), [True] * 4)

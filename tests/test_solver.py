@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -33,7 +34,7 @@ from presic_lab import (
     squared_euclidean,
     verify,
 )
-from presic_lab import problem
+from presic_lab import operators, problem
 from presic_lab.bmetric import TOL_REL, leq_tol
 from presic_lab.solver import _INITIAL_CAPACITY, DIVERGENCE_FACTOR, IterationTrace
 
@@ -92,6 +93,20 @@ class TestIterate:
         assert len(rows) == len(trace.points) + 1 and {len(r) for r in rows} == {3}
         assert rows[2] == ("2", repr(0.4), repr(float(trace.alphas[1])))
         assert rows[-1][2] == ""  # the last point has no step after it
+
+    def test_payloads_hold_each_element_as_a_float(self, sq_space):
+        pts = np.array([[0.1 + 0.2, -0.0], [5e-324, 1e308], [1 / 3, -2.5]])
+        trace = IterationTrace(pts, np.array([0.1, 7e-310]), "converged", limit=pts[-1])
+        bounds = presic_bounds(iterate(averaging(2), sq_space, [1.7, 0.4], TIGHT), 0.25, 2.0, 2)
+        assert json.dumps(trace.to_dict()) == json.dumps({
+            "points": [[float(v) for v in row] for row in pts],
+            "alphas": [float(a) for a in trace.alphas], "stop_reason": "converged",
+            "limit": [float(v) for v in pts[-1]], "final_residual": None, "fitted_rate": None})
+        assert trace.to_csv_rows()[1:] == [
+            (str(i + 1), ";".join(repr(float(v)) for v in pt),
+             repr(float(trace.alphas[i])) if i < 2 else "") for i, pt in enumerate(pts)]
+        assert json.dumps(bounds.to_dict()["per_step_bounds"]) == json.dumps(
+            [float(v) for v in bounds.per_step_bounds])
 
     def test_chain_bound_on_trace_subsequences(self, sq_space):
         trace = iterate(averaging(2), sq_space, [2.0, 0.5], TIGHT)
@@ -418,6 +433,24 @@ class TestEstimateRate:
             alphas = np.array([0.5, 0.25, 0.0, 0.0])
         assert estimate_rate(Fake()) is None
 
+    def test_matches_the_mean_formula_bit_for_bit(self):
+        def reference(alphas):  # the means as .mean() takes them
+            mask = alphas > 0
+            if mask.sum() < 8:
+                return None
+            idx = np.nonzero(mask)[0]
+            tail = idx[len(idx) // 2:]
+            x = tail - tail.mean()
+            y = np.log(alphas[tail])
+            return float(np.exp(np.dot(x, y - y.mean()) / np.dot(x, x)))
+
+        rng = np.random.default_rng(14)
+        for _ in range(300):
+            n = int(rng.integers(7, 501))
+            alphas = np.exp(np.cumsum(rng.normal(-0.3, 0.5, n)))
+            alphas[rng.random(n) < rng.uniform(0.0, 0.5)] = 0.0
+            assert estimate_rate(SimpleNamespace(alphas=alphas)) == reference(alphas)
+
 
 class TestCauchyProfile:
     def test_constant_trace(self, sq_space):
@@ -708,6 +741,31 @@ class TestIterateMany:
         with pytest.raises(NumericEvalError, match=r"custom metric distance alpha_5$"):
             iterate(op, space, starts[2])
 
+    @pytest.mark.parametrize("cancel", [True, False], ids=["nan", "inf"])
+    def test_non_finite_output_is_an_error_before_leaving_the_domain(self, eu_space, cancel):
+        # in the first step run 0 lands on 3 outside [-2, 2], and run 1,
+        # past 1.5, on NaN (inf - inf) or on inf
+        blowup = "max(x1 - 1.5, 0)*1e300*1e300"
+        op = from_dsl(f"3*x1 + {blowup}" + (f" - {blowup}" if cancel else ""), 1)
+        starts = np.array([[[1.0]], [[1.8]]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericEvalError, match=r"coordinate 0 \(window 1\)$"):
+                iterate_many(op, eu_space, starts, strict_domain=True)
+            with pytest.raises(NumericEvalError, match=r"coordinate 0 \(window 0\)$"):
+                iterate(op, eu_space, starts[1], strict_domain=True)
+
+    def test_runs_leaving_by_different_coordinates_in_one_step(self):
+        # fixed point (1.8, -1.8) outside [-1, 1]^2: at the first step run 1
+        # is outside by coordinate 0, run 2 by coordinate 1, run 3 by both,
+        # and run 0 is inside
+        op = affine([0.5], offset=[0.9, -0.9], dimension=2)
+        starts = np.array([[[0.0, 0.0]], [[1.8, 0.0]], [[-1.0, -1.8]], [[1.8, -1.8]]])
+        space = euclidean(BOX2)
+        first = space.domain.contains(op.apply_batch(starts))
+        np.testing.assert_array_equal(first, [True, False, False, False])
+        got = _assert_matches_single_runs(op, space, starts, MODERATE)
+        assert len({t.out_of_domain for t in got}) > 1
+
     def test_strict_domain_names_its_run(self, eu_space):
         # run 0 converges at once; run 2 leaves [-2, 2] at its second step
         op = from_dsl("x1*x1", 1)
@@ -799,6 +857,26 @@ class TestLoopChecks:
         assert trace.stop_reason == "converged"
         outside = ~eu_space.domain.contains(trace.points[1:])
         assert trace.out_of_domain == int(outside.sum()) > 0
+
+    def test_in_box_steps_call_no_per_step_checks(self, sq_space, monkeypatch):
+        # the step's one box test is also its finiteness check: neither
+        # wrapper runs while every point is finite and inside
+        calls = []
+        contains, check_finite = Box.contains, operators.check_finite
+        monkeypatch.setattr(Box, "contains",
+                            lambda box, pts: calls.append("contains") or contains(box, pts))
+        monkeypatch.setattr(operators, "check_finite",
+                            lambda out: calls.append("check_finite") or check_finite(out))
+        stop = StopRule(residual_tol=1e-300, step_tol=1e-300, max_iterations=60)
+        trace = iterate(averaging(2), sq_space, [2.0, 1.0], stop)
+        assert len(trace.points) == 60 and trace.out_of_domain == 0
+        assert calls == []
+
+    def test_minus_inf_output_in_a_box_down_to_minus_the_largest_float(self):
+        space = euclidean(Box([-np.finfo(float).max], [0.0]))
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericEvalError, match=r"coordinate 0 \(window 0\)$"):
+                iterate(from_dsl("x1*1e300*1e300", 1), space, [-1.0])
 
     def test_in_domain_run_counts_nothing(self, sq_space):
         assert iterate(averaging(2), sq_space, [2.0, 1.0], TIGHT).out_of_domain == 0
