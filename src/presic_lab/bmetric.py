@@ -10,13 +10,12 @@ chain bound d(u_0,u_n) <= b d(u_0,u_1) + ... + b^(n-1) d(u_{n-1},u_n).
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import dsl
-from .errors import DegenerateDomainError, NumericEvalError, UsageError
+from .errors import DegenerateDomainError, UsageError, _renumber, require_finite
 
 # Scale-aware slack: L <= R is judged violated when L > R + TOL_REL*(1+|R|).
 TOL_REL = 1e-9
@@ -142,7 +141,7 @@ class BMetricSpace:
     domain: Box
     b: float
     p: float | None = None
-    expr: object = None  # compiled dsl.Expr for custom_dsl
+    expr: object = None  # parsed dsl.Expr for custom_dsl
 
     def __post_init__(self):
         if self.kind not in KERNELS:
@@ -171,7 +170,7 @@ class BMetricSpace:
         ys = np.atleast_2d(ys)
         if xs.shape[-1] != self.dimension or ys.shape[-1] != self.dimension:
             raise UsageError("dimension mismatch in distance")
-        return dsl.require_finite(KERNELS[self.kind](self, xs, ys), self.distance_name)
+        return require_finite(KERNELS[self.kind](self, xs, ys), self.distance_name)
 
 
 def _squared_euclidean(space, xs, ys):
@@ -194,10 +193,8 @@ def _lp_truncated(space, xs, ys):
 
 
 def _custom_dsl(space, xs, ys):
-    env = {}
-    for i in range(space.dimension):
-        env[f"u{i + 1}"] = xs[..., i]
-        env[f"v{i + 1}"] = ys[..., i]
+    cols = range(space.dimension)  # u1..um bind the coordinates of xs, v1..vm those of ys
+    env = dict(zip(space.expr.variables, [xs[..., i] for i in cols] + [ys[..., i] for i in cols]))
     with np.errstate(over="ignore", invalid="ignore"):
         out = np.asarray(dsl.evaluate(space.expr, env), dtype=float)
     return np.broadcast_to(out, xs.shape[:-1]).copy() if out.ndim == 0 else out
@@ -285,18 +282,6 @@ def _sample_windows(space, width, samples, seed, grid_points=None, budget=2_000_
             windows = axes[idx.reshape(width, m, count), np.arange(m)[:, None]]
             del idx  # not held beside the caller's chunk while the next one is made
         yield start, windows.transpose(2, 0, 1)
-
-
-@contextmanager
-def _renumber(row_of):
-    """Re-raise a NumericEvalError that names a batch row as naming
-    `row_of(row)`: a chunk's row becomes its window's sample index."""
-    try:
-        yield
-    except NumericEvalError as err:
-        if err.row is None:
-            raise
-        raise NumericEvalError(err.template, int(row_of(err.row))) from None
 
 
 def max_ratio(chunks):
@@ -397,8 +382,7 @@ def chain_bound(space, points):
     n = len(pts) - 1
     steps = space.distance_batch(pts[:-1], pts[1:])
     coeff = space.b ** np.arange(1, n + 1, dtype=float)
-    if n >= 1:
-        coeff[-1] = space.b ** (n - 1)
+    coeff[-1] = space.b ** (n - 1)
     rhs = float(np.dot(coeff, steps))
     lhs = space.distance(pts[0], pts[-1])
     return {"lhs": lhs, "rhs": rhs, "holds": bool(leq_tol(lhs, rhs))}

@@ -1,8 +1,8 @@
 """Command-line front-end.
 
 Subcommands: verify, solve, bounds, estimate-b, demo. Exit codes are a
-stable contract: 0 = success/verified, 1 = falsified or non-converged,
-2 = usage error. The seed is --seed, else (solve and bounds) the file's
+stable contract: 0 = success/verified, 1 = falsified, non-converged or
+(bounds) a step outside its bound, 2 = usage error. The seed is --seed, else (solve and bounds) the file's
 solve.seed, else PRESIC_LAB_SEED, else 0. Outputs are reproducible for a
 fixed (problem, seed) up to the timestamp field.
 """
@@ -113,7 +113,7 @@ def cmd_bounds(args):
     else:
         payload = solver.kannan_report(trace, prob.space, args.a, k)
     _emit(payload, args)
-    return 0
+    return 0 if payload["all_steps_within"] else 1
 
 
 def cmd_estimate_b(args):
@@ -261,10 +261,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (UsageError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PresicLabError as exc:

@@ -32,8 +32,9 @@ from functools import partial, reduce
 import numpy as np
 
 from . import dsl
-from .bmetric import CHUNK, TOL_REL, _renumber, _sample_windows, fold, max_ratio  # re-exports CHUNK
-from .errors import DegenerateDomainError, DomainError, NumericEvalError, UsageError
+from .bmetric import CHUNK, TOL_REL, _sample_windows, fold, max_ratio  # re-exports CHUNK
+from .errors import (DegenerateDomainError, DomainError, NumericEvalError, UsageError,
+                     _renumber, require_finite)
 from .operators import as_int
 
 # kind -> the ConditionSpec field that holds its constant (diagonal_strict has none)
@@ -52,8 +53,7 @@ class PhiFunction:
 
     kind: str  # linear | paper_piecewise | dsl
     c: float | None = None
-    expr: object = None
-    source: str | None = None
+    expr: object = None  # dsl, the parsed dsl.Expr in t
 
     def __post_init__(self):
         if self.kind not in GAUGES:
@@ -68,7 +68,7 @@ class PhiFunction:
         return float(out) if out.ndim == 0 else out
 
     def to_dict(self):
-        out = {"kind": self.kind, "c": self.c, "expr": self.source}
+        out = {"kind": self.kind, "c": self.c, "expr": self.expr.source if self.expr else None}
         return {key: value for key, value in out.items() if value is not None}
 
     @classmethod
@@ -103,7 +103,7 @@ def _phi_piecewise(t):
 # gauge kind -> phi(gauge, t) for a float array t
 GAUGES = {"linear": lambda phi, t: phi.c * t,
           "paper_piecewise": lambda phi, t: _phi_piecewise(t),
-          "dsl": lambda phi, t: dsl.require_finite(
+          "dsl": lambda phi, t: require_finite(
               np.asarray(dsl.evaluate(phi.expr, {"t": t}), dtype=float), "gauge")}
 
 
@@ -116,7 +116,7 @@ def piecewise_phi():
 
 
 def dsl_phi(source):
-    return PhiFunction("dsl", expr=dsl.parse(source, ["t"]), source=source)
+    return PhiFunction("dsl", expr=dsl.parse(source, ["t"]))
 
 
 # --- condition specs -------------------------------------------------------

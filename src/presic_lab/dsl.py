@@ -17,6 +17,12 @@ Variables are context-dependent: ``x1..xk`` for operator bodies, ``u1..um``
 and ``v1..vm`` for custom metrics, ``t`` for gauge functions. A DslSyntaxError
 gives the offending token's line and column from 1; a tab or CR is one column.
 
+`parse` builds the expression as nested Python closures, one function
+env -> value, and returns it as an Expr with its source and variables;
+`evaluate` calls that function. Left operands run before right ones and a
+variable is looked up when its closure runs. An Expr pickles as its source
+and variables and is equal to another with the same source and variables.
+
 Evaluation is IEEE double precision and vectorizes over numpy arrays bound
 in the environment. Undefined operations (division by zero, log of a
 non-positive value, sqrt of a negative) raise NumericEvalError instead of
@@ -28,11 +34,11 @@ from __future__ import annotations
 import functools
 import operator
 import re
-from dataclasses import dataclass, fields
+from collections import namedtuple
 
 import numpy as np
 
-from .errors import NumericEvalError, UsageError
+from .errors import UsageError, _fail, require_finite
 
 
 class DslSyntaxError(UsageError):
@@ -44,47 +50,25 @@ class DslSyntaxError(UsageError):
         self.column = column
 
 
-# --- AST -------------------------------------------------------------------
-
 class Expr:
-    """Base class for expression nodes."""
+    """A parsed expression: its `source`, the names in `variables` it may
+    bind, in order, and `fn`, the closure env -> value the parser built."""
 
-    @functools.cached_property
-    def closure(self):
-        """This tree as nested Python closures, one function env -> value,
-        built on the first evaluation and reused by every later one."""
-        return _closure(self)
+    __slots__ = ("source", "variables", "fn")
 
-    def __reduce__(self):  # pickle the fields, not the closure, which cannot be
-        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+    def __init__(self, source, variables, fn):
+        self.source, self.variables, self.fn = source, variables, fn
 
+    def __reduce__(self):  # a closure cannot be pickled; its source can
+        return parse, (self.source, self.variables)
 
-@dataclass(frozen=True)
-class Num(Expr):
-    value: float
+    def __eq__(self, other):
+        if not isinstance(other, Expr):
+            return NotImplemented
+        return (self.source, self.variables) == (other.source, other.variables)
 
-
-@dataclass(frozen=True)
-class Var(Expr):
-    name: str
-
-
-@dataclass(frozen=True)
-class Neg(Expr):
-    operand: Expr
-
-
-@dataclass(frozen=True)
-class BinOp(Expr):
-    op: str
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
-class Call(Expr):
-    func: str
-    args: tuple
+    def __hash__(self):
+        return hash((self.source, self.variables))
 
 
 # --- tokenizer -------------------------------------------------------------
@@ -96,12 +80,8 @@ _TOKEN_RE = re.compile(r"""\s*(?:
   | (?P<op>[-+*/^]) | (?P<lparen>\() | (?P<rparen>\)) | (?P<comma>,)
   | (?P<end>\Z) | (?P<bad>.))""", re.VERBOSE | re.DOTALL)
 
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # num | ident | op | lparen | rparen | comma | end
-    text: str
-    offset: int
+# kind: num | ident | op | lparen | rparen | comma | end
+_Token = namedtuple("_Token", "kind text offset")
 
 
 def _syntax_error(message, source, offset):
@@ -125,6 +105,8 @@ def _tokenize(source):
 # --- parser ----------------------------------------------------------------
 
 class _Parser:
+    """Recursive descent over the tokens; each parse_* returns a closure."""
+
     def __init__(self, source, variables):
         self.source = source
         self.tokens = _tokenize(source)
@@ -148,10 +130,10 @@ class _Parser:
         raise _syntax_error(message, self.source, (tok or self.peek()).offset)
 
     def parse_left_associative(self, ops, parse_operand):
-        node = parse_operand()
+        fn = parse_operand()
         while self.peek().kind == "op" and self.peek().text in ops:
-            node = BinOp(self.advance().text, node, parse_operand())
-        return node
+            fn = _binary(self.advance().text, fn, parse_operand())
+        return fn
 
     def parse_expression(self):
         return self.parse_left_associative("+-", self.parse_term)
@@ -162,24 +144,25 @@ class _Parser:
     def parse_unary(self):
         if self.peek().kind == "op" and self.peek().text == "-":
             self.advance()
-            return Neg(self.parse_unary())
+            operand = self.parse_unary()
+            return lambda env: -operand(env)
         return self.parse_power()
 
     def parse_power(self):
         base = self.parse_atom()
         if self.peek().kind == "op" and self.peek().text == "^":
             self.advance()
-            return BinOp("^", base, self.parse_unary())
+            return _binary("^", base, self.parse_unary())
         return base
 
     def parse_atom(self):
         tok = self.advance()
         if tok.kind == "num":
-            return Num(float(tok.text))
+            return _literal(float(tok.text))
         if tok.kind == "lparen":
-            node = self.parse_expression()
+            fn = self.parse_expression()
             self.expect("rparen", "expected ')'")
-            return node
+            return fn
         if tok.kind == "ident" and tok.text in _FUNCTIONS:
             self.expect("lparen", f"function {tok.text!r} requires arguments")
             args = [self.parse_expression()]
@@ -191,9 +174,9 @@ class _Parser:
                 self.fail(f"{tok.text} takes 1 argument(s), got {len(args)}", tok)
             if tok.text in _VARIADIC and len(args) < 2:
                 self.fail(f"{tok.text} takes at least 2 arguments", tok)
-            return Call(tok.text, tuple(args))
+            return _call(tok.text, args)
         if tok.kind == "ident" and tok.text in self.variables:
-            return Var(tok.text)
+            return functools.partial(_lookup, tok.text)
         self.fail({"ident": f"unknown identifier {tok.text!r}", "end": "unexpected end of input"}
                   .get(tok.kind, f"unexpected token {tok.text!r}"), tok)
 
@@ -214,28 +197,12 @@ def parse(source, variables):
     if not source or not source.strip():
         raise UsageError("empty expression")
     parser = _Parser(source, variables)
-    node = parser.parse_expression()
+    fn = parser.parse_expression()
     parser.expect("end", f"trailing input {parser.peek().text!r}")
-    return node
+    return Expr(source, tuple(variables), fn)
 
 
 # --- evaluation ------------------------------------------------------------
-
-def _fail(message, bad):
-    """Raise NumericEvalError, naming the first row of `bad` that holds a True."""
-    bad = np.asarray(bad)
-    if bad.ndim == 0:
-        raise NumericEvalError(message)
-    raise NumericEvalError(message + " (row {row})", int(np.nonzero(bad)[0][0]))
-
-
-def require_finite(value, what):
-    """Return `value`, raising NumericEvalError at its first non-finite row."""
-    finite = np.isfinite(value)
-    if not finite.all():
-        _fail(f"non-finite result in {what}", ~finite)
-    return value
-
 
 def _guard(func, undefined, message):
     """`func`, raising NumericEvalError at the first row where `undefined` holds."""
@@ -276,35 +243,32 @@ _VARIADIC = {"min": np.minimum, "max": np.maximum}
 _FUNCTIONS = _UNARY.keys() | _VARIADIC.keys()
 
 
-def _closure(node):
-    """The function env -> value of `node`. Left operands run before right
-    ones and a variable is looked up when its node runs, so values, errors
-    and the rows they name are those of a walk over the tree."""
-    if isinstance(node, Num):
-        value = node.value
-        return lambda env: value
-    if isinstance(node, Var):
-        return functools.partial(_lookup, node.name)
-    if isinstance(node, Neg):
-        operand = _closure(node.operand)
-        return lambda env: -operand(env)
-    if isinstance(node, BinOp):
-        left, right = _closure(node.left), _closure(node.right)
-        if node.op == "/" and isinstance(node.right, Num) and node.right.value != 0:
-            divisor = node.right.value  # a nonzero literal needs no zero test
-            return lambda env: left(env) / divisor
-        binary = _BINARY[node.op]
-        return lambda env: binary(left(env), right(env))
-    args = [_closure(a) for a in node.args]
-    if node.func in _VARIADIC:
-        ufunc = _VARIADIC[node.func]
+def _literal(value):
+    """The closure of a number, which carries it as `.value`."""
+    def literal(env):
+        return value
+    literal.value = value
+    return literal
+
+
+def _binary(op, left, right):
+    """The closure of `left op right`; the left operand runs first."""
+    divisor = getattr(right, "value", 0)
+    if op == "/" and divisor != 0:  # a nonzero literal needs no zero test
+        return lambda env: left(env) / divisor
+    binary = _BINARY[op]
+    return lambda env: binary(left(env), right(env))
+
+
+def _call(name, args):
+    """The closure of `name(*args)`; the arguments run left to right."""
+    if name in _VARIADIC:
+        ufunc = _VARIADIC[name]
         return lambda env: functools.reduce(ufunc, [a(env) for a in args])
-    unary, (arg,) = _UNARY[node.func], args
+    unary, (arg,) = _UNARY[name], args
     return lambda env: unary(arg(env))
 
 
 def evaluate(expr, env):
-    """Evaluate an Expr under ``env`` (name -> float or ndarray) through
-    its closures, which the first evaluation builds."""
-    return expr.closure(env)
-
+    """Evaluate an Expr under ``env`` (name -> float or ndarray)."""
+    return expr.fn(env)

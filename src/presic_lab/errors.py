@@ -1,4 +1,9 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the rules for which
+batch row a NumericEvalError names."""
+
+from contextlib import contextmanager
+
+import numpy as np
 
 
 class PresicLabError(Exception):
@@ -24,3 +29,32 @@ class DomainError(PresicLabError):
 
 class DegenerateDomainError(PresicLabError):
     """Every sampled configuration was degenerate (e.g. the box is a single point)."""
+
+
+def _fail(message, bad):
+    """Raise NumericEvalError, naming the first row of `bad` that holds a True."""
+    bad = np.asarray(bad)
+    if bad.ndim == 0:
+        raise NumericEvalError(message)
+    raise NumericEvalError(message + " (row {row})", int(np.nonzero(bad)[0][0]))
+
+
+def require_finite(value, what):
+    """Return `value`, raising NumericEvalError at its first non-finite row."""
+    finite = np.isfinite(value)
+    if not finite.all():
+        _fail(f"non-finite result in {what}", ~finite)
+    return value
+
+
+@contextmanager
+def _renumber(row_of):
+    """Re-raise a NumericEvalError that names a batch row as naming
+    `row_of(row)`: a chunk's row becomes its window's sample index, or a
+    buffer row the run it holds."""
+    try:
+        yield
+    except NumericEvalError as err:
+        if err.row is None:
+            raise
+        raise NumericEvalError(err.template, int(row_of(err.row))) from None

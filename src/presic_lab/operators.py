@@ -50,11 +50,6 @@ class PresicOperator:
             raise UsageError("operator dimension must be >= 1")
 
     @cached_property
-    def variables(self):
-        """The names x1..xk a DSL body binds to its window's slots."""
-        return dsl.operator_variables(self.arity)
-
-    @cached_property
     def diagonal(self):
         """F(x) = f(x,..,x) as an operator of arity 1."""
         return PresicOperator("diagonal", 1, self.dimension, base=self)
@@ -108,7 +103,7 @@ def _dsl(op, w):
     out = np.empty((op.dimension, len(w))).T  # coordinate-major, as the windows are
     for j, expr in enumerate(op.exprs):
         # w.T[j] holds coordinate j of each window slot: row i is w[:, i, j]
-        out[:, j] = dsl.evaluate(expr, dict(zip(op.variables, w.T[j])))
+        out[:, j] = dsl.evaluate(expr, dict(zip(expr.variables, w.T[j])))
     return out
 
 

@@ -25,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import bmetric, contraction, dsl, operators
+from . import bmetric, contraction, operators
 from .bmetric import leq_tol
-from .errors import DomainError, NumericEvalError, UsageError
+from .errors import DomainError, NumericEvalError, UsageError, _renumber, require_finite
 
 DIVERGENCE_FACTOR = 1e12
 _INITIAL_CAPACITY = 256  # points a run's buffers hold before their first doubling
@@ -143,63 +143,60 @@ def _run(op, space, seeds, stop, strict_domain):
     out_of_domain = [0] * runs
     traces = [None] * runs
     blowup = None  # per row: the step distance past which its run diverged
-    while n < limit:
-        if n == cap:
-            cap = min(2 * cap, limit)
-            points = np.concatenate([points, np.empty((len(ids), cap - n, m))], axis=1)
-            alphas = np.concatenate([alphas, np.empty((len(ids), cap - n))], axis=1)
-            at_step, alphas_at_step = points.swapaxes(0, 1), alphas.T
-        try:
+    # a kernel error names a buffer row: re-raise it naming the run that row
+    # holds, through a lambda because `ids` is rebound as runs stop
+    with _renumber(lambda row: ids[row]):
+        while n < limit:
+            if n == cap:
+                cap = min(2 * cap, limit)
+                points = np.concatenate([points, np.empty((len(ids), cap - n, m))], axis=1)
+                alphas = np.concatenate([alphas, np.empty((len(ids), cap - n))], axis=1)
+                at_step, alphas_at_step = points.swapaxes(0, 1), alphas.T
             nxt = f(op, points[:, n - k:n])
             inside = (nxt >= lo_tol) & (nxt <= hi_tol)  # False at NaN and ±inf too
-            left = np.count_nonzero(inside) < inside.size  # a fifth of inside.all()'s cost
-            if left:
+            if np.count_nonzero(inside) < inside.size:  # a fifth of inside.all()'s cost
                 operators.check_finite(nxt)
-        except NumericEvalError as err:
-            raise _renumbered(err, ids) from None
-        if left:
-            for r, ok in enumerate(inside.all(axis=1).tolist()):
-                if not ok:
-                    if strict_domain:
-                        raise DomainError(_in_run("iterate left the domain in strict mode",
-                                                  ids[r], runs))
-                    out_of_domain[ids[r]] += 1
-        at_step[n] = nxt
-        alpha = d(space, at_step[n - 1], nxt)
-        alphas_at_step[n - 1] = alpha
-        if blowup is None:  # alphas[:, 0] is set from here on
-            blowup = [DIVERGENCE_FACTOR * (1.0 + a) for a in alphas[:, 0].tolist()]
-        stopped, near = {}, []
-        for r, a in enumerate(alpha.tolist()):
-            if not math.isfinite(a):
-                raise NumericEvalError(_in_run(
-                    f"non-finite result in {space.distance_name} alpha_{n}", ids[r], runs))
-            if a > blowup[r]:
-                stopped[r] = ("diverged", None)
-            elif a <= step_tol:
-                near.append(r)
-        if near:
-            x = nxt[near]
-            try:
-                fx = operators.check_finite(f(op, np.broadcast_to(x[:, None], (len(near), k, m))))
-                residuals = dsl.require_finite(d(space, x, fx), space.distance_name).tolist()
-            except NumericEvalError as err:
-                raise _renumbered(err, [ids[r] for r in near]) from None
-            for r, res in zip(near, residuals):
-                if res <= stop.residual_tol:
-                    stopped[r] = ("converged", res)
-        n += 1
-        if stopped:
-            for r, (reason, res) in stopped.items():
-                traces[ids[r]] = _trace(points[r], alphas[r], n, reason, res,
-                                        out_of_domain[ids[r]])
-            keep = [r for r in range(len(ids)) if r not in stopped]
-            if not keep:
-                return traces
-            points, alphas = points[keep], alphas[keep]
-            at_step, alphas_at_step = points.swapaxes(0, 1), alphas.T
-            ids = [ids[r] for r in keep]
-            blowup = [blowup[r] for r in keep]
+                for r, ok in enumerate(inside.all(axis=1).tolist()):
+                    if not ok:
+                        if strict_domain:
+                            raise DomainError(_in_run("iterate left the domain in strict mode",
+                                                      ids[r], runs))
+                        out_of_domain[ids[r]] += 1
+            at_step[n] = nxt
+            alpha = d(space, at_step[n - 1], nxt)
+            alphas_at_step[n - 1] = alpha
+            if blowup is None:  # alphas[:, 0] is set from here on
+                blowup = [DIVERGENCE_FACTOR * (1.0 + a) for a in alphas[:, 0].tolist()]
+            stopped, near = {}, []
+            for r, a in enumerate(alpha.tolist()):
+                if not math.isfinite(a):
+                    raise NumericEvalError(_in_run(
+                        f"non-finite result in {space.distance_name} alpha_{n}", ids[r], runs))
+                if a > blowup[r]:
+                    stopped[r] = ("diverged", None)
+                elif a <= step_tol:
+                    near.append(r)
+            if near:
+                x = nxt[near]
+                with _renumber(near.__getitem__):  # a residual's row is a row of `near`
+                    fx = operators.check_finite(
+                        f(op, np.broadcast_to(x[:, None], (len(near), k, m))))
+                    residuals = require_finite(d(space, x, fx), space.distance_name).tolist()
+                for r, res in zip(near, residuals):
+                    if res <= stop.residual_tol:
+                        stopped[r] = ("converged", res)
+            n += 1
+            if stopped:
+                for r, (reason, res) in stopped.items():
+                    traces[ids[r]] = _trace(points[r], alphas[r], n, reason, res,
+                                            out_of_domain[ids[r]])
+                keep = [r for r in range(len(ids)) if r not in stopped]
+                if not keep:
+                    return traces
+                points, alphas = points[keep], alphas[keep]
+                at_step, alphas_at_step = points.swapaxes(0, 1), alphas.T
+                ids = [ids[r] for r in keep]
+                blowup = [blowup[r] for r in keep]
     for r, run in enumerate(ids):
         traces[run] = _trace(points[r], alphas[r], n, "max_iterations", None, out_of_domain[run])
     return traces
@@ -208,12 +205,6 @@ def _run(op, space, seeds, stop, strict_domain):
 def _in_run(message, run, runs):
     """`message`, naming its run when there is more than one."""
     return message if runs == 1 else f"{message} in run {run}"
-
-
-def _renumbered(err, ids):
-    """A kernel's NumericEvalError with its batch row replaced by the run
-    that row holds."""
-    return err if err.row is None else NumericEvalError(err.template, ids[err.row])
 
 
 def _trace(points, alphas, n, stop_reason, residual, out_of_domain):

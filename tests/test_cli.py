@@ -306,6 +306,13 @@ class TestBoundsCommand:
         assert code == 0
         assert strip_timestamp(out) == strip_timestamp(with_flag)
 
+    @pytest.mark.parametrize("option", [("--eta", "0.5"), ("--a", "0.1")])
+    def test_broken_bound_exits_one_with_its_payload(self, option):
+        # the payload said all_steps_within: false and the exit code was 0
+        code, out = run_cli("bounds", str(PROBLEMS / "divergent_double.json"), *option)
+        assert code == 1
+        assert json.loads(out)["all_steps_within"] is False
+
     def test_requires_a_constant(self):
         code, _ = run_cli("bounds", str(PROBLEMS / "averaging_k1.json"))
         assert code == 2

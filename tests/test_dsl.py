@@ -4,21 +4,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from presic_lab import NumericEvalError, UsageError, dsl, from_dsl
+from presic_lab import (
+    Box,
+    NumericEvalError,
+    UsageError,
+    custom,
+    from_dsl,
+    verify,
+    weak_phi,
+)
+from presic_lab.contraction import dsl_phi
 from presic_lab.dsl import (
-    BinOp,
-    Call,
     DslSyntaxError,
-    Neg,
-    Num,
-    Var,
-    _fail,
     evaluate,
     metric_variables,
     operator_variables,
     parse,
-    require_finite,
 )
+from presic_lab.errors import _fail, require_finite
 from presic_lab.operators import KERNELS
 
 
@@ -176,86 +179,124 @@ class TestPrecedence:
 
 # --- the closures against a walk over the tree ---------------------------------
 
-def _reference_evaluate(expr, env):
+# A tree is ("num", value), ("var", name), ("neg", operand),
+# ("bin", op, left, right) or ("call", func, args); the oracle walks it, and
+# the parser reads it back from its fully parenthesised source.
+
+def _num(value):
+    return ("num", value)
+
+
+def _var(name):
+    return ("var", name)
+
+
+def _bin(op, left, right):
+    return ("bin", op, left, right)
+
+
+def _call(func, *args):
+    return ("call", func, args)
+
+
+def _render(tree):
+    """Fully parenthesised source of `tree`; inf is written 1e999."""
+    kind = tree[0]
+    if kind == "num":
+        return "1e999" if tree[1] == np.inf else repr(tree[1])
+    if kind == "var":
+        return tree[1]
+    if kind == "neg":
+        return f"(-{_render(tree[1])})"
+    if kind == "bin":
+        return f"({_render(tree[2])}{tree[1]}{_render(tree[3])})"
+    return f"{tree[1]}({', '.join(_render(a) for a in tree[2])})"
+
+
+def _reference_evaluate(tree, env):
     """The tree walker that evaluated every node on every call, kept as the oracle."""
-    if isinstance(expr, Num):
-        return expr.value
-    if isinstance(expr, Var):
+    kind = tree[0]
+    if kind == "num":
+        return tree[1]
+    if kind == "var":
         try:
-            return env[expr.name]
+            return env[tree[1]]
         except KeyError:
-            raise UsageError(f"variable {expr.name!r} missing from environment") from None
-    if isinstance(expr, Neg):
-        return -_reference_evaluate(expr.operand, env)
-    if isinstance(expr, BinOp):
-        left = _reference_evaluate(expr.left, env)
-        right = _reference_evaluate(expr.right, env)
-        if expr.op == "+":
+            raise UsageError(f"variable {tree[1]!r} missing from environment") from None
+    if kind == "neg":
+        return -_reference_evaluate(tree[1], env)
+    if kind == "bin":
+        op = tree[1]
+        left = _reference_evaluate(tree[2], env)
+        right = _reference_evaluate(tree[3], env)
+        if op == "+":
             return left + right
-        if expr.op == "-":
+        if op == "-":
             return left - right
-        if expr.op == "*":
+        if op == "*":
             return left * right
-        if expr.op == "/":
+        if op == "/":
             zero = right == 0
             if np.any(zero):
                 _fail("division by zero", zero)
             return left / right
-        if expr.op == "^":
+        if op == "^":
             with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
                 out = np.power(np.asarray(left, dtype=float), np.asarray(right, dtype=float))
             require_finite(out, "power")
             return float(out) if out.ndim == 0 else out
-        raise AssertionError(expr.op)
-    args = [_reference_evaluate(a, env) for a in expr.args]
-    if expr.func == "abs":
+        raise AssertionError(op)
+    func = tree[1]
+    args = [_reference_evaluate(a, env) for a in tree[2]]
+    if func == "abs":
         return np.abs(args[0])
-    if expr.func == "sqrt":
+    if func == "sqrt":
         negative = np.asarray(args[0]) < 0
         if np.any(negative):
             _fail("sqrt of a negative value", negative)
         return np.sqrt(args[0])
-    if expr.func == "exp":
+    if func == "exp":
         with np.errstate(over="ignore"):
             return require_finite(np.exp(args[0]), "exp")
-    if expr.func == "log":
+    if func == "log":
         nonpositive = np.asarray(args[0]) <= 0
         if np.any(nonpositive):
             _fail("log of a non-positive value", nonpositive)
         return np.log(args[0])
     out = args[0]
     for a in args[1:]:
-        out = (np.minimum if expr.func == "min" else np.maximum)(out, a)
+        out = (np.minimum if func == "min" else np.maximum)(out, a)
     return out
 
 
 NAMES = ["x1", "x2", "x3"]
 # 0 exercises the division test on a literal; 1e200 and 1e999 (inf) overflow
-_literals = st.builds(Num, st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, 1e-300, 1e200, 1e999]))
-_leaves = st.one_of(_literals, st.builds(Var, st.sampled_from(NAMES)))
+_literals = st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, 1e-300, 1e200, 1e999]).map(_num)
+_leaves = st.one_of(_literals, st.sampled_from(NAMES).map(_var))
 
 
 def _extend(children):
     return st.one_of(
-        st.builds(Neg, children),
-        st.builds(BinOp, st.sampled_from("+-*/^"), children, children),
-        st.builds(lambda f, a: Call(f, (a,)), st.sampled_from(["abs", "sqrt", "exp", "log"]),
-                  children),
-        st.builds(lambda f, args: Call(f, tuple(args)), st.sampled_from(["min", "max"]),
+        children.map(lambda a: ("neg", a)),
+        st.builds(_bin, st.sampled_from("+-*/^"), children, children),
+        st.builds(_call, st.sampled_from(["abs", "sqrt", "exp", "log"]), children),
+        st.builds(lambda f, args: _call(f, *args), st.sampled_from(["min", "max"]),
                   st.lists(children, min_size=2, max_size=4)))
 
 
-EXPRS = st.recursive(_leaves, _extend, max_leaves=12)
+TREES = st.recursive(_leaves, _extend, max_leaves=12)
 _values = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 1e200, -1e-300]),
                     st.floats(-10.0, 10.0))
+X1, X2, X3 = map(_var, NAMES)
 # where both operands, or two arguments, fail or tie, only the order tells
-ORDERED = [("log(x1) + sqrt(x2)", {"x1": 0.0, "x2": -1.0}),
-           ("x1/x2 ^ log(x1)", {"x1": 0.0, "x2": 0.0}),
-           ("sqrt(x1) * x3", {"x1": np.array([1.0, -1.0]), "x2": 0.0}),
-           ("x3 - sqrt(x1)", {"x1": -1.0}),
-           ("max(x1, sqrt(x2), log(x3))", {"x1": 0.0, "x2": -1.0, "x3": 0.0}),
-           ("min(x1, x2, x3) + max(x2, x1)", {"x1": np.array([0.0, -0.0]),
-                                              "x2": np.array([-0.0, 0.0]), "x3": 0.0})]
+ORDERED = [(_bin("+", _call("log", X1), _call("sqrt", X2)), {"x1": 0.0, "x2": -1.0}),
+           (_bin("/", X1, _bin("^", X2, _call("log", X1))), {"x1": 0.0, "x2": 0.0}),
+           (_bin("*", _call("sqrt", X1), X3), {"x1": np.array([1.0, -1.0]), "x2": 0.0}),
+           (_bin("-", X3, _call("sqrt", X1)), {"x1": -1.0}),
+           (_call("max", X1, _call("sqrt", X2), _call("log", X3)),
+            {"x1": 0.0, "x2": -1.0, "x3": 0.0}),
+           (_bin("+", _call("min", X1, X2, X3), _call("max", X2, X1)),
+            {"x1": np.array([0.0, -0.0]), "x2": np.array([-0.0, 0.0]), "x3": 0.0})]
 
 
 @st.composite
@@ -284,28 +325,22 @@ def _outcome(run, expr, env):
 
 
 class TestClosuresMatchTheWalker:
-    @given(EXPRS, environments())
+    @given(TREES, environments())
     @settings(max_examples=300)
-    def test_values_and_errors_are_identical(self, expr, env):
-        assert _outcome(evaluate, expr, env) == _outcome(_reference_evaluate, expr, env)
+    def test_values_and_errors_are_identical(self, tree, env):
+        expr = parse(_render(tree), NAMES)
+        assert _outcome(evaluate, expr, env) == _outcome(_reference_evaluate, tree, env)
 
-    @given(EXPRS, st.lists(environments(), min_size=2, max_size=3))
-    def test_a_reused_closure_matches_on_every_environment(self, expr, envs):
+    @given(TREES, st.lists(environments(), min_size=2, max_size=3))
+    def test_a_reused_closure_matches_on_every_environment(self, tree, envs):
+        expr = parse(_render(tree), NAMES)
         for env in envs:
-            assert _outcome(evaluate, expr, env) == _outcome(_reference_evaluate, expr, env)
+            assert _outcome(evaluate, expr, env) == _outcome(_reference_evaluate, tree, env)
 
-    @pytest.mark.parametrize("source, env", ORDERED)
-    def test_operands_run_left_to_right(self, source, env):
-        expr = parse(source, NAMES)
-        assert _outcome(evaluate, expr, env) == _outcome(_reference_evaluate, expr, env)
-
-    def test_second_evaluate_reuses_the_closure(self, monkeypatch):
-        expr = parse("x1*2 + 1", ["x1"])
-        assert evaluate(expr, {"x1": 1.0}) == 3.0
-        closure = expr.closure
-        monkeypatch.setattr(dsl, "_closure", lambda node: pytest.fail("closure rebuilt"))
-        assert evaluate(expr, {"x1": 2.0}) == 5.0
-        assert expr.closure is closure
+    @pytest.mark.parametrize("tree, env", ORDERED)
+    def test_operands_run_left_to_right(self, tree, env):
+        expr = parse(_render(tree), NAMES)
+        assert _outcome(evaluate, expr, env) == _outcome(_reference_evaluate, tree, env)
 
     def test_literal_zero_divisor_still_raises_after_the_left_operand(self):
         with pytest.raises(NumericEvalError, match="sqrt"):
@@ -319,29 +354,50 @@ class TestClosuresMatchTheWalker:
         again = pickle.loads(pickle.dumps(expr))
         assert again == expr and evaluate(again, {"x1": 1.5}) == before
 
+    def test_expressions_are_equal_by_source_and_variables(self):
+        assert parse("x1+x2", ["x1", "x2"]) == parse("x1+x2", ["x1", "x2"])
+        assert hash(parse("x1+x2", ["x1", "x2"])) == hash(parse("x1+x2", ["x1", "x2"]))
+        assert parse("x1+x2", ["x1", "x2"]) != parse("x1 + x2", ["x1", "x2"])
+        assert parse("x1", ["x1"]) != parse("x1", ["x1", "x2"])
 
-def _reference_dsl(op, w):
+
+def test_dsl_objects_pickle_to_equal_objects_with_identical_outputs():
+    op = from_dsl("min(x1, x2)/2 + x1*x2/8", k=2)
+    space = custom("abs(u1 - v1)^2", Box([0.0], [1.0]), b=2.0)
+    cond = weak_phi(dsl_phi("t*t/8"))
+    again = pickle.loads(pickle.dumps((op, space, cond)))
+    assert again == (op, space, cond)
+    w = np.random.default_rng(3).uniform(0.0, 1.0, size=(7, 2, 1))
+    t = np.linspace(0.0, 2.0, 9)
+    assert again[0].apply_batch(w).tobytes() == op.apply_batch(w).tobytes()
+    assert again[1].distance_batch(w[:, 0], w[:, 1]).tobytes() == \
+        space.distance_batch(w[:, 0], w[:, 1]).tobytes()
+    assert again[2].phi(t).tobytes() == cond.phi(t).tobytes()
+    assert verify(*again, 500, 5).to_dict() == verify(op, space, cond, 500, 5).to_dict()
+
+
+def _reference_dsl(trees, k, w):
     """operators._dsl as it was: one dict of f-string names, broadcast and stack."""
     cols = []
-    for j, expr in enumerate(op.exprs):
-        env = {f"x{i + 1}": w[:, i, j] for i in range(op.arity)}
-        col = np.asarray(_reference_evaluate(expr, env), dtype=float)
+    for j, tree in enumerate(trees):
+        env = {f"x{i + 1}": w[:, i, j] for i in range(k)}
+        col = np.asarray(_reference_evaluate(tree, env), dtype=float)
         cols.append(np.broadcast_to(col, (len(w),)))
     return np.stack(cols, axis=-1)
 
 
-@pytest.mark.parametrize("exprs, k", [
-    (["0.5"], 1),
-    (["0.5", "x1 - x2/3"], 2),
-    (["min(x1, x2, x3)", "max(x1, 0.25, x3)^2"], 3),
-    (["2"], 4)])
+@pytest.mark.parametrize("trees, k", [
+    ([_num(0.5)], 1),
+    ([_num(0.5), _bin("-", X1, _bin("/", X2, _num(3.0)))], 2),
+    ([_call("min", X1, X2, X3), _bin("^", _call("max", X1, _num(0.25), X3), _num(2.0))], 3),
+    ([_num(2.0)], 4)])
 @pytest.mark.parametrize("rows", [1, 5])
-def test_dsl_kernel_fills_a_writable_float_array_as_before(exprs, k, rows):
-    op = from_dsl(exprs, k)
-    w = np.random.default_rng(rows).uniform(-1.0, 1.0, size=(rows, k, len(exprs)))
+def test_dsl_kernel_fills_a_writable_float_array_as_before(trees, k, rows):
+    op = from_dsl([_render(tree) for tree in trees], k)
+    w = np.random.default_rng(rows).uniform(-1.0, 1.0, size=(rows, k, len(trees)))
     got = KERNELS["dsl"](op, w)
-    want = _reference_dsl(op, w)
-    assert got.dtype == np.float64 and got.shape == (rows, len(exprs)) and got.flags.writeable
+    want = _reference_dsl(trees, k, w)
+    assert got.dtype == np.float64 and got.shape == (rows, len(trees)) and got.flags.writeable
     assert got.tobytes() == want.tobytes()
 
 

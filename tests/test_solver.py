@@ -719,6 +719,16 @@ class TestIterateMany:
             with pytest.raises(NumericEvalError, match=r"custom metric distance \(row 0\)$"):
                 iterate(constant(0.25), space, [[0.25 + 1e-12]])
 
+    def test_step_distance_errors_name_their_run(self):
+        # run 0 converges at its second step; run 1 lands on 0.5 at its
+        # tenth, where the metric takes sqrt of a negative value, from row 0
+        space = custom("abs(u1-v1) + 0*sqrt((v1-0.3)*(v1-0.7))", Box([-1.0], [11.0]), b=1)
+        op = from_dsl("max(x1 - 1, 0)", 1)
+        with pytest.raises(NumericEvalError, match=r"negative value \(row 1\)$"):
+            iterate_many(op, space, np.array([[[1.0]], [[10.5]]]))
+        with pytest.raises(NumericEvalError, match=r"negative value \(row 0\)$"):
+            iterate(op, space, [[10.5]])
+
     def test_several_rows_that_barely_move_in_one_step(self, eu_space):
         # F(x) = 1.001 x: at the first step the first four runs barely move;
         # two of them sit at the fixed point 0, and two are far from it
