@@ -10,7 +10,7 @@ chain bound d(u_0,u_n) <= b d(u_0,u_1) + ... + b^(n-1) d(u_{n-1},u_n).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -64,8 +64,26 @@ def as_point(x, dimension=None):
     return p
 
 
-@dataclass(frozen=True)
-class Box:
+class ValueEq:
+    """`==` and `hash` by field values for a frozen dataclass declared with
+    eq=False: an ndarray field compares as its shape and its entries, as a
+    tuple of floats does, so equal objects are equal at every dimension."""
+
+    def _key(self):
+        return tuple((v.shape, tuple(v.ravel().tolist())) if isinstance(v, np.ndarray) else v
+                     for v in (getattr(self, f.name) for f in fields(self) if f.compare))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+@dataclass(frozen=True, eq=False)
+class Box(ValueEq):
     """Axis-aligned sampling domain [lo_1,hi_1] x ... x [lo_m,hi_m]."""
 
     lo: np.ndarray
@@ -133,8 +151,8 @@ class AxiomReport:
         return not any(self.counts.values())
 
 
-@dataclass(frozen=True)
-class BMetricSpace:
+@dataclass(frozen=True, eq=False)
+class BMetricSpace(ValueEq):
     """A distance on a box with its declared relaxation constant b >= 1."""
 
     kind: str

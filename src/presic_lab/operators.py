@@ -25,12 +25,12 @@ from functools import cached_property
 import numpy as np
 
 from . import dsl
-from .bmetric import fold
+from .bmetric import ValueEq, fold
 from .errors import NumericEvalError, UsageError
 
 
-@dataclass(frozen=True)
-class PresicOperator:
+@dataclass(frozen=True, eq=False)
+class PresicOperator(ValueEq):
     kind: str
     arity: int
     dimension: int

@@ -7,7 +7,9 @@ is the k-step scheme of `op.diagonal`: `picard(op, ...)` runs it from one
 start point, `iterate_many(op.diagonal, ...)` from many. All of them check
 their seeds once, at entry; a bad seed is a UsageError before any step.
 The trace of a run holds its points as one float64 (n, m) array, seeds
-included, and its step distances as one float64 (n-1,) array.
+included, and its step distances as one float64 (n-1,) array. The runs
+advance in blocks of steps that are tested at once, up to BLOCK steps
+while no run is predicted to stop; no result depends on the block size.
 
 The bound machinery: with theta = eta^(1/k) and
 K = max(alpha_1/theta, .., alpha_k/theta^k) built from the first k
@@ -31,6 +33,10 @@ from .errors import DomainError, NumericEvalError, UsageError, _renumber, requir
 
 DIVERGENCE_FACTOR = 1e12
 _INITIAL_CAPACITY = 256  # points a run's buffers hold before their first doubling
+# The most steps a block of _run takes before its one test. A longer block
+# spreads the test over more steps, but is predicted more rarely, as it ends
+# before any predicted stop. No result depends on this size.
+BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -91,18 +97,26 @@ def _run(op, space, seeds, stop, strict_domain):
     """Extend each run of the (S, k, m) `seeds` one point a step until a stop
     rule fires; return the S traces in run order.
 
-    The seeds are checked here, once. Each step then advances every live run
-    with one call each of the operator and metric kernels, on views of
-    float64 (S, cap, m) and (S, cap) buffers that double up to
+    The seeds are checked here, once. The steps then advance every live run
+    on views of float64 (S, cap, m) and (S, cap) buffers that double up to
     max_iterations. `op` is applied to a run's last k points; for Picard
     iteration `op` is `op.diagonal`, whose one-point window is the last
-    point. Between the kernels one compare against the box's widened bounds
-    tests the domain and, as it fails at NaN and ±inf, finiteness too; a
-    step that fails it runs `check_finite` first, so a non-finite point is
-    a NumericEvalError before any DomainError. The stop rules read the step
-    distances as Python floats; the residuals d(x, F(x)) of the runs whose
-    step met step_tol take one more operator and metric kernel call, for
-    all of them.
+    point.
+
+    The steps come in blocks, as many as `_horizon` predicts no run to stop
+    in. A block costs one operator kernel call a step, and one box compare,
+    one metric kernel call and one scan for stop events in all (`_block`).
+    Its steps before the first event are kept; the step of an event runs
+    alone, as below, so no trace or error depends on the block size. Numpy
+    warnings show only from a block's first step and from a step alone.
+
+    A step alone calls the operator and metric kernels once each. Between
+    them one compare against the box's widened bounds tests the domain and,
+    as it fails at NaN and ±inf, finiteness too; a step that fails it runs
+    `check_finite` first, so a non-finite point is a NumericEvalError
+    before any DomainError. The stop rules read the step distances as
+    Python floats; the residuals d(x, F(x)) of the runs whose step met
+    step_tol take one more operator and metric kernel call, for all of them.
     When a run stops, its trace is cut out and the buffers keep only the
     live rows.
 
@@ -153,6 +167,18 @@ def _run(op, space, seeds, stop, strict_domain):
                 alphas = np.concatenate([alphas, np.empty((len(ids), cap - n))], axis=1)
                 at_step, alphas_at_step = points.swapaxes(0, 1), alphas.T
             nxt = f(op, points[:, n - k:n])
+            b = 1 if blowup is None else min(_horizon(alphas, n, blowup, step_tol),
+                                             limit - n, cap - n)
+            if b > 1:
+                at_step[n] = nxt
+                done, outside = _block(op, space, points, alphas, n, b, (lo_tol, hi_tol),
+                                       blowup, step_tol, strict_domain)
+                if done:  # else step n has an event and runs alone, below
+                    if outside is not None:
+                        for r, count in enumerate(outside.tolist()):
+                            out_of_domain[ids[r]] += count
+                    n += done
+                    continue
             inside = (nxt >= lo_tol) & (nxt <= hi_tol)  # False at NaN and ±inf too
             if np.count_nonzero(inside) < inside.size:  # a fifth of inside.all()'s cost
                 operators.check_finite(nxt)
@@ -165,14 +191,16 @@ def _run(op, space, seeds, stop, strict_domain):
             at_step[n] = nxt
             alpha = d(space, at_step[n - 1], nxt)
             alphas_at_step[n - 1] = alpha
-            if blowup is None:  # alphas[:, 0] is set from here on
-                blowup = [DIVERGENCE_FACTOR * (1.0 + a) for a in alphas[:, 0].tolist()]
+            if blowup is None:  # alphas[:, 0] is set from here on; capped at the
+                # largest float, which no finite distance exceeds
+                blowup = np.minimum([DIVERGENCE_FACTOR * (1.0 + a) for a in alphas[:, 0].tolist()],
+                                    np.finfo(float).max)
             stopped, near = {}, []
-            for r, a in enumerate(alpha.tolist()):
+            for r, (a, top) in enumerate(zip(alpha.tolist(), blowup.tolist())):
                 if not math.isfinite(a):
                     raise NumericEvalError(_in_run(
                         f"non-finite result in {space.distance_name} alpha_{n}", ids[r], runs))
-                if a > blowup[r]:
+                if a > top:
                     stopped[r] = ("diverged", None)
                 elif a <= step_tol:
                     near.append(r)
@@ -196,10 +224,75 @@ def _run(op, space, seeds, stop, strict_domain):
                 points, alphas = points[keep], alphas[keep]
                 at_step, alphas_at_step = points.swapaxes(0, 1), alphas.T
                 ids = [ids[r] for r in keep]
-                blowup = [blowup[r] for r in keep]
+                blowup = blowup[keep]
     for r, run in enumerate(ids):
         traces[run] = _trace(points[r], alphas[r], n, "max_iterations", None, out_of_domain[run])
     return traces
+
+
+def _horizon(alphas, n, blowup, step_tol):
+    """How many steps, at most BLOCK, the live runs are predicted to take
+    before any of them stops: each run's last two step distances are
+    extrapolated geometrically, a shrinking run's to step_tol and a growing
+    run's to its blowup threshold. 1 when fewer than two step distances
+    exist, a run's last one has met step_tol, or a ratio is 1 or not finite."""
+    if n < 3:
+        return 1
+    if len(blowup) > 1:  # one numpy pass: a Python loop costs more past a few runs
+        prev, last = alphas[:, n - 3], alphas[:, n - 2]
+        with np.errstate(all="ignore"):
+            rate = np.log(last) - np.log(prev)  # the log of the ratio
+            # the step at which last * ratio^j crosses the run's threshold:
+            # -inf at a ratio of 1, 0 at an infinite one
+            steps = (np.log(np.where(rate <= 0, step_tol, blowup)) - np.log(last)) / rate
+        least = steps.min() if (last > step_tol).all() else 0.0
+    else:  # the same on Python floats, at a third of the cost
+        prev, last = alphas[0, n - 3:n - 1].tolist()
+        if not (last > step_tol and prev > 0):
+            return 1
+        rate = math.log(last) - math.log(prev)
+        least = 0.0 if rate == 0 else (
+            math.log(step_tol if rate < 0 else blowup[0]) - math.log(last)) / rate
+    return math.ceil(min(least, BLOCK + 1)) - 1 if least > 2 else 1
+
+
+def _block(op, space, points, alphas, n, b, bounds, blowup, step_tol, strict_domain):
+    """Take steps n+1 .. n+b-1 after step n, already in `points`, with the
+    operator kernel alone and numpy's warnings off, up to a kernel error;
+    then test the b steps with one box compare and one metric kernel call,
+    whose step distances go to `alphas`.
+
+    Returns how many leading steps no run has an event at (a non-finite
+    point, a point outside the box in strict mode, a non-finite step
+    distance, one past blowup, one at step_tol), 0 if the metric kernel
+    raised; and per row the points outside the box in those steps, or None
+    when every point is inside.
+    """
+    f, d, k = operators.KERNELS[op.kind], bmetric.KERNELS[space.kind], op.arity
+    lo_tol, hi_tol = bounds
+    at_step = points.swapaxes(0, 1)
+    with np.errstate(all="ignore"):
+        for j in range(n + 1, n + b):
+            try:
+                at_step[j] = f(op, points[:, j - k:j])
+            except NumericEvalError:
+                b = j - n
+                break
+        block = points[:, n:n + b]
+        try:
+            alpha = d(space, points[:, n - 1:n + b - 1], block)
+        except NumericEvalError:
+            return 0, None
+        alphas[:, n - 1:n + b - 1] = alpha
+        quiet = (alpha > step_tol) & (alpha <= blowup[:, None])  # False at NaN and inf
+        inside = (block >= lo_tol) & (block <= hi_tol)
+        outside = None
+        if np.count_nonzero(inside) < inside.size:
+            outside = ~inside.all(axis=2)
+            quiet &= ~outside if strict_domain else np.isfinite(block).all(axis=2)
+    each = quiet.all(axis=0)
+    kept = b if each.all() else int(each.argmin())
+    return kept, None if outside is None else np.count_nonzero(outside[:, :kept], axis=1)
 
 
 def _in_run(message, run, runs):

@@ -1,3 +1,4 @@
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -161,6 +162,21 @@ class TestConstructors:
         # a width hi - lo that overflows would make every sampled point inf
         with pytest.raises(UsageError, match="finite"):
             Box(np.asarray(lo), np.asarray(hi))
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_boxes_and_spaces_compare_by_value(m):
+    box = Box(np.zeros(m), np.ones(m))
+    same = Box([-0.0] * m, [1] * m)  # -0.0 == 0.0 and 1 == 1.0, so equal
+    other = Box(np.zeros(m), np.r_[np.ones(m - 1), 2.0])
+    space = custom("abs(u1 - v1)", box, 2.0)
+    for a, b, c in [(box, same, other),
+                    (euclidean(box), euclidean(same), euclidean(other)),
+                    (space, pickle.loads(pickle.dumps(space)), custom("abs(u1 - v1)", other, 2.0)),
+                    (power(3.0, box), power(3.0, same), power(2.5, box))]:
+        assert (a == b) is True and hash(a) == hash(b)
+        assert (a == c) is False and (a != c) is True
+    assert len({box, same, other}) == 2 and box != (box.lo, box.hi)
 
 
 class TestBoxContains:

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -13,6 +14,20 @@ from presic_lab import (
     residual,
 )
 from presic_lab.bmetric import CHUNK
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_operators_compare_by_value(m):
+    offset = np.arange(m) / 4
+    op = affine([0.5, 0.25], offset=offset, dimension=m)
+    for a, b, c in [(op, pickle.loads(pickle.dumps(op)),
+                     affine([0.5, 0.25], offset=offset + 1, dimension=m)),
+                    (op.diagonal, affine([0.5, 0.25], offset=offset, dimension=m).diagonal,
+                     affine([0.5, 0.5], offset=offset, dimension=m).diagonal),
+                    (constant(offset, k=2), constant(list(offset), k=2), constant(offset, k=3)),
+                    (averaging(2, m), averaging(2, m), averaging(3, m))]:
+        assert (a == b) is True and hash(a) == hash(b)
+        assert (a == c) is False and (a != c) is True
 
 
 class TestApply:

@@ -1,4 +1,5 @@
 import json
+import math
 from types import SimpleNamespace
 
 import mpmath
@@ -34,9 +35,9 @@ from presic_lab import (
     squared_euclidean,
     verify,
 )
-from presic_lab import operators, problem
+from presic_lab import bmetric, operators, problem, solver
 from presic_lab.bmetric import TOL_REL, leq_tol
-from presic_lab.solver import _INITIAL_CAPACITY, DIVERGENCE_FACTOR, IterationTrace
+from presic_lab.solver import _INITIAL_CAPACITY, BLOCK, DIVERGENCE_FACTOR, IterationTrace
 
 TIGHT = StopRule(residual_tol=1e-20, step_tol=1e-20)
 # for maps whose fixed point is not exactly representable the step size
@@ -820,6 +821,13 @@ def test_closed_form_rate_matches_polyfit(sq_space, eu_space):
     assert fitted >= 80
 
 
+def _count_metric_calls(monkeypatch, space, calls):
+    """Append "distance" to `calls` at each call of `space`'s metric kernel."""
+    kernel = bmetric.KERNELS[space.kind]
+    monkeypatch.setitem(bmetric.KERNELS, space.kind,
+                        lambda *args: calls.append("distance") or kernel(*args))
+
+
 class TestLoopChecks:
     def test_seeds_whose_distance_overflows_are_an_error(self):
         # with an inf first step the divergence rule could never fire
@@ -861,6 +869,27 @@ class TestLoopChecks:
         with pytest.raises(DomainError):
             picard(affine([0.5], offset=1.5), eu_space, [1.0], strict_domain=True)
 
+    def test_strict_domain_raises_inside_a_block(self, eu_space):
+        # x -> x/2 + 1.1 from -2 leaves [-2, 2] at its fifth step and is
+        # capped at its eighth, before any step meets a stop rule
+        op, stop = affine([0.5], offset=1.1), StopRule(max_iterations=8)
+        with pytest.raises(DomainError, match=r"strict mode$"):
+            picard(op, eu_space, [-2.0], stop, strict_domain=True)
+        assert picard(op, eu_space, [-2.0], stop).out_of_domain == 3
+
+    @pytest.mark.parametrize("undefined_in", ["operator", "metric"])
+    def test_no_error_past_a_stop(self, undefined_in):
+        # x -> x^2 from 1.5 diverges at 3.4e22; the point after it, 1.2e45,
+        # is past 1e30, where the operator or the metric takes sqrt of a
+        # negative value
+        guard = " + 0*sqrt(1e30 - {})"
+        op = from_dsl("x1*x1" + guard.format("x1") * (undefined_in == "operator"), 1)
+        space = custom("abs(u1 - v1)" + guard.format("v1") * (undefined_in == "metric"),
+                       Box([-2.0], [2.0]), b=1)
+        trace = iterate(op, space, [1.5])
+        assert trace.stop_reason == "diverged" and trace.points[-1, 0] > 1e22
+        _assert_same_trace(trace, _reference_iterate(op, space, [1.5], StopRule()))
+
     def test_out_of_domain_counted(self, eu_space):
         # x -> x/2 + 1.9 leaves [-2, 2] on its way to the fixed point 3.8
         trace = iterate(affine([0.5], offset=1.9), eu_space, [0.0], MODERATE)
@@ -877,10 +906,30 @@ class TestLoopChecks:
                             lambda box, pts: calls.append("contains") or contains(box, pts))
         monkeypatch.setattr(operators, "check_finite",
                             lambda out: calls.append("check_finite") or check_finite(out))
+        # and the metric kernel runs once a block of steps, not once a step
+        _count_metric_calls(monkeypatch, sq_space, calls)
         stop = StopRule(residual_tol=1e-300, step_tol=1e-300, max_iterations=60)
         trace = iterate(averaging(2), sq_space, [2.0, 1.0], stop)
         assert len(trace.points) == 60 and trace.out_of_domain == 0
-        assert calls == []
+        assert set(calls) <= {"distance"}
+        assert len(calls) <= math.ceil(58 / 8) + 3
+
+    def test_long_in_box_run_calls_the_metric_once_a_block(self, eu_space, monkeypatch):
+        calls = []
+        _count_metric_calls(monkeypatch, eu_space, calls)
+        trace = iterate(affine([0.999]), eu_space, [1.5], StopRule(max_iterations=2000))
+        assert trace.stop_reason == "max_iterations" and trace.out_of_domain == 0
+        assert len(calls) <= math.ceil(1999 / 8) + 5
+
+    def test_speculation_past_an_overflow_is_silent(self, eu_space, monkeypatch):
+        # forty steps of x -> 1e10 x from 1 overflow to inf, and their step
+        # distances to NaN: no warning (an error here) may escape the
+        # speculation, and the block's test finds the divergence at step 3
+        monkeypatch.setattr(solver, "_horizon", lambda *args: 40)
+        op = affine([1e10])
+        trace = iterate(op, eu_space, [1.0])
+        assert trace.stop_reason == "diverged" and len(trace.points) == 4
+        _assert_same_trace(trace, _reference_iterate(op, eu_space, [1.0], StopRule()))
 
     def test_minus_inf_output_in_a_box_down_to_minus_the_largest_float(self):
         space = euclidean(Box([-np.finfo(float).max], [0.0]))
@@ -949,3 +998,34 @@ class TestSeedValidation:
     def test_space_dimension_mismatch_is_usage_error(self, eu_space):
         with pytest.raises(UsageError):
             iterate(averaging(1, dimension=2), eu_space, [[1.0, 0.5]])
+
+
+@pytest.fixture(params=["one", "block", "random"])
+def forced_horizon(request, monkeypatch):
+    """Every block of the solver's loop one step, BLOCK steps, or a seeded
+    random size in 1..40, up to the cap and the buffers' capacity."""
+    rng = np.random.default_rng(17)
+    size = {"one": lambda: 1, "block": lambda: BLOCK,
+            "random": lambda: int(rng.integers(1, 41))}[request.param]
+    monkeypatch.setattr(solver, "_horizon", lambda *args: size())
+
+
+# The block size cannot change a result: each case of these classes, with
+# its traces, out_of_domain counts, error types and messages, holds under
+# every forced size.
+
+@pytest.mark.usefixtures("forced_horizon")
+class TestReferenceLoopInAnyBlocks(TestReferenceLoop):
+    pass
+
+
+@pytest.mark.usefixtures("forced_horizon")
+class TestIterateManyInAnyBlocks(TestIterateMany):
+    pass
+
+
+@pytest.mark.usefixtures("forced_horizon")
+class TestLoopChecksInAnyBlocks(TestLoopChecks):
+    # these count the calls of predicted blocks, which a forced size replaces
+    test_in_box_steps_call_no_per_step_checks = None
+    test_long_in_box_run_calls_the_metric_once_a_block = None
