@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from types import SimpleNamespace
 
 import mpmath
@@ -931,6 +932,51 @@ class TestLoopChecks:
         assert trace.stop_reason == "diverged" and len(trace.points) == 4
         _assert_same_trace(trace, _reference_iterate(op, eu_space, [1.0], StopRule()))
 
+    @pytest.mark.parametrize("mode", ["warn", "call", "raise"])
+    @pytest.mark.parametrize("condition_in", ["operator", "metric"])
+    def test_floating_point_conditions_show_at_their_steps(self, condition_in, mode, monkeypatch):
+        # each condition shows as a warning, a callback or a FloatingPointError
+        # at its step, as in a run of steps alone, though its step falls
+        # inside a block
+        box = Box([-2.0], [2.0])
+        if condition_in == "operator":
+            # x -> x/2 from 1 reaches 1/16 at step 4, where a square of
+            # 1e100/(x - 1/16 + 1e-200) overflows once in the next step, and
+            # 1/(1 + inf) leaves the point finite
+            ratio = "(1e100/(x1 - 0.0625 + 1e-200))"
+            op, space, stop = from_dsl(f"x1/2 + 1/(1 + {ratio}*{ratio})", 1), euclidean(box), StopRule()
+            condition = {"over": mode}
+        else:
+            # the squared step distances of x -> 0.3 x from 1 underflow in
+            # the 16 steps from step 295 on, the last one's to 0, where the run
+            # stops, as its residual underflows too
+            op, space = affine([0.3]), squared_euclidean(box)
+            stop = StopRule(residual_tol=5e-324, step_tol=5e-324)
+            condition = {"under": mode}
+
+        def outcome():
+            seen = []
+            try:
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    with np.errstate(call=lambda kind, flag: seen.append(kind), **condition):
+                        trace = iterate(op, space, [1.0], stop)
+            except FloatingPointError as err:
+                return None, str(err)
+            return trace, seen + [str(w.message) for w in caught]
+
+        trace, seen = outcome()
+        monkeypatch.setattr(solver, "_horizon", lambda *args: 1)
+        alone, seen_alone = outcome()
+        assert seen == seen_alone
+        if mode == "raise":
+            assert trace is alone is None
+        else:
+            assert len(seen) == (1 if condition_in == "operator" else 17)
+            _assert_same_trace(trace, alone)
+            with np.errstate(all="ignore"):
+                _assert_same_trace(trace, _reference_iterate(op, space, [1.0], stop))
+
     def test_minus_inf_output_in_a_box_down_to_minus_the_largest_float(self):
         space = euclidean(Box([-np.finfo(float).max], [0.0]))
         with np.errstate(over="ignore"):
@@ -948,6 +994,17 @@ class TestLoopChecks:
             with pytest.raises(NumericEvalError, match=r"coordinate 0 \(window 0\)"):
                 picard(blowup, eu_space, [1e150])
 
+
+
+@pytest.mark.parametrize("prev, last", [
+    (1.0, 0.5), (0.5, 1.0), (1.0, 0.999), (1e-3, 1e-3), (0.0, 1e-3), (1e-3, 1e-12),
+    (2e-10, 1e-10), (1e-5, 1e5), (1.0, 1e-9), (2e-8, 1e-8), (500.0, 1e3)])
+def test_horizon_of_one_run_is_that_of_two_copies(prev, last):
+    # one run takes the Python-float path, more runs the numpy pass
+    alphas, blowup = np.array([[prev, last, np.nan]]), np.array([1e6])
+    one = solver._horizon(alphas, 3, blowup, 1e-10)
+    assert 1 <= one <= BLOCK
+    assert solver._horizon(np.repeat(alphas, 2, axis=0), 3, np.repeat(blowup, 2), 1e-10) == one
 
 
 class TestStopRule:
