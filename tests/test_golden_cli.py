@@ -1,8 +1,9 @@
-"""The CLI's solver outputs, byte for byte, against tests/golden/cli.json.
+"""The CLI's outputs, byte for byte, against tests/golden/cli.json.
 
-The golden file holds, for `solve` (json, csv, --picard), `bounds --eta 0.5`
-and `bounds --a 0.1` on each problems/*.json and for each demo name, the
-exit code, the stderr and the stdout with its timestamp stripped, under a
+The golden file holds, for `solve` (json, csv, --picard), `bounds --eta 0.5`,
+`bounds --a 0.1`, `verify` (plain, --grid, --strict-domain) and `estimate-b`
+(plain, --grid) on each problems/*.json and for each demo name, the exit
+code, the stderr and the stdout with its timestamp stripped, under a
 header naming the numpy version and the platform that wrote it. Run this
 file as a script to rewrite it from the package on the import path:
 
@@ -26,7 +27,9 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden" / "cli.json"
 # (command, options) run on each problem file
 VARIANTS = (("solve",), ("solve", "--format", "csv"), ("solve", "--picard"),
-            ("bounds", "--eta", "0.5"), ("bounds", "--a", "0.1"))
+            ("bounds", "--eta", "0.5"), ("bounds", "--a", "0.1"),
+            ("verify",), ("verify", "--grid"), ("verify", "--strict-domain"),
+            ("estimate-b",), ("estimate-b", "--grid"))
 
 
 def _header():
