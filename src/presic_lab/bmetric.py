@@ -65,9 +65,10 @@ def as_point(x, dimension=None):
 
 
 class ValueEq:
-    """`==` and `hash` by field values for a frozen dataclass declared with
+    """`==` and `hash` by field values for a dataclass declared with
     eq=False: an ndarray field compares as its shape and its entries, as a
-    tuple of floats does, so equal objects are equal at every dimension."""
+    tuple of floats does, so equal objects are equal at every dimension. A
+    mutable dataclass sets `__hash__ = None`, and stays unhashable."""
 
     def _key(self):
         return tuple((v.shape, tuple(v.ravel().tolist())) if isinstance(v, np.ndarray) else v
@@ -302,6 +303,20 @@ def _sample_windows(space, width, samples, seed, grid_points=None, budget=2_000_
         yield start, windows.transpose(2, 0, 1)
 
 
+def sampled(evaluate, *sampling):
+    """Yield `evaluate(windows)` for each chunk of `_sample_windows(*sampling)`;
+    a NumericEvalError of `evaluate` names its window's sample index."""
+    for offset, windows in _sample_windows(*sampling):
+        with _renumber(offset.__add__):
+            out = evaluate(windows)
+        yield out
+
+
+def _distances(space, *slots):
+    """windows -> (windows, [d(windows[:, i], windows[:, j]) for (i, j) in slots])."""
+    return lambda w: (w, [space.distance_batch(w[:, i], w[:, j]) for i, j in slots])
+
+
 def max_ratio(chunks):
     """The first strict maximum of num/den over (items, num, den) chunks.
 
@@ -342,19 +357,16 @@ def check_axioms(space, sample_count, seed, grid_points=None, max_triples=2_000_
                 worst[axiom] = at[1]
 
     # b1: d(x,x) = 0 for every sampled point
-    for offset, w in _sample_windows(space, 1, sample_count, seed, grid_points, max_triples):
-        with _renumber(offset.__add__):
-            self_d = space.distance_batch(w[:, 0], w[:, 0])
+    points = sampled(_distances(space, (0, 0)), space, 1, sample_count, seed, grid_points,
+                     max_triples)
+    for w, (self_d,) in points:
         tally("b1", ~leq_tol(self_d, 0.0), self_d, np.zeros_like(self_d), w[:, 0])
 
     checked, seed = 0, seed + 1 if seed is not None else None
-    for offset, w in _sample_windows(space, 3, sample_count, seed, grid_points, max_triples):
+    triples = sampled(_distances(space, (0, 1), (1, 0), (0, 2), (2, 1)), space, 3, sample_count,
+                      seed, grid_points, max_triples)
+    for w, (d_xy, d_yx, d_xz, d_zy) in triples:
         xs, ys, zs = w[:, 0], w[:, 1], w[:, 2]
-        with _renumber(offset.__add__):
-            d_xy = space.distance_batch(xs, ys)
-            d_yx = space.distance_batch(ys, xs)
-            d_xz = space.distance_batch(xs, zs)
-            d_zy = space.distance_batch(zs, ys)
         # b2: symmetry on the (x, y) pairs
         tally("b2", np.abs(d_xy - d_yx) > TOL_REL * (1.0 + np.abs(d_xy)), d_xy, d_yx, xs, ys)
         # b3: relaxed triangle inequality against the declared b
@@ -373,15 +385,10 @@ def estimate_b(space, sample_count, seed, grid_points=None, max_triples=2_000_00
     time, and witness attains it. Triples with a zero denominator are skipped; if every triple is
     degenerate the domain has collapsed and DegenerateDomainError is raised.
     """
-    def chunks():
-        for offset, w in _sample_windows(space, 3, sample_count, seed, grid_points, max_triples):
-            x, z, y = w[:, 0], w[:, 1], w[:, 2]
-            with _renumber(offset.__add__):
-                num = space.distance_batch(x, y)
-                den = space.distance_batch(x, z) + space.distance_batch(z, y)
-            yield w, num, den
-
-    b_hat, at = max_ratio(chunks())
+    # d(x, y), d(x, z) and d(z, y) of each triple (x, z, y)
+    triples = sampled(_distances(space, (0, 2), (0, 1), (1, 2)), space, 3, sample_count, seed,
+                      grid_points, max_triples)
+    b_hat, at = max_ratio((w, d_xy, d_xz + d_zy) for w, (d_xy, d_xz, d_zy) in triples)
     if at is None:
         raise DegenerateDomainError("all sampled triples have zero denominator")
     return {"b_hat": b_hat, "witness": tuple(at[0])}

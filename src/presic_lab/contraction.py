@@ -32,7 +32,8 @@ from functools import partial, reduce
 import numpy as np
 
 from . import dsl
-from .bmetric import CHUNK, TOL_REL, _sample_windows, fold, max_ratio  # re-exports CHUNK
+# re-exports CHUNK, and _sample_windows, whose budget default is verify's
+from .bmetric import CHUNK, TOL_REL, ValueEq, _sample_windows, fold, max_ratio, sampled
 from .errors import (DegenerateDomainError, DomainError, NumericEvalError, UsageError,
                      _renumber, require_finite)
 from .operators import as_int
@@ -216,8 +217,9 @@ def diagonal_phi(phi):
 
 # --- certificates ----------------------------------------------------------
 
-@dataclass
-class Witness:
+@dataclass(eq=False)
+class Witness(ValueEq):
+    __hash__ = None
     window: np.ndarray  # (k+1, m) or (2, m) for diagonal conditions
     lhs: float
     rhs: float
@@ -337,10 +339,10 @@ def verify(op, space, cond, samples, seed, grid_points=None, strict_domain=False
     op = op.diagonal if cond.kind in DIAGONAL_KINDS else op  # F's windows are pairs
     strict = cond.kind == "diagonal_strict"
     count, slack_min, witness, out_of_domain = 0, np.inf, None, 0
-    count_outside = partial(_count_outside, space, strict_domain)
-    for offset, windows in _sample_windows(space, op.arity + 1, samples, seed, grid_points):
-        with _renumber(offset.__add__):
-            windows, lhs, rhs, out_count = _evaluate(op, space, cond, windows, count_outside)
+    evaluate = partial(_evaluate, op, space, cond,
+                       count_outside=partial(_count_outside, space, strict_domain))
+    for windows, lhs, rhs, out_count in sampled(evaluate, space, op.arity + 1, samples, seed,
+                                                grid_points):
         tol = TOL_REL * (1.0 + np.abs(rhs))
         bad = lhs > rhs + tol
         if strict:
@@ -375,14 +377,9 @@ def estimate_constant(op, space, kind, samples, seed, grid_points=None):
         raise UsageError(f"estimate_constant supports ciric_max|banach|kannan, got {kind!r}")
     unit = ConditionSpec(kind, **{FIELDS[kind]: 1.0})  # its rhs, 1.0 * comparator, is exact
     op = op.diagonal if kind in DIAGONAL_KINDS else op
-
-    def chunks():
-        for offset, windows in _sample_windows(space, op.arity + 1, samples, seed, grid_points):
-            with _renumber(offset.__add__):
-                windows, lhs, rhs, _ = _evaluate(op, space, unit, windows, lambda *images: 0)
-            yield windows, lhs, rhs
-
-    best, at = max_ratio(chunks())
+    evaluate = partial(_evaluate, op, space, unit, count_outside=lambda *images: 0)
+    best, at = max_ratio(out[:3] for out in sampled(evaluate, space, op.arity + 1, samples, seed,
+                                                    grid_points))
     if at is None:
         raise DegenerateDomainError("every sampled window has a vanishing comparator")
     return {"constant_hat": best, "witness": Witness(*at)}

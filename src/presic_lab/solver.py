@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bmetric, contraction, operators
-from .bmetric import leq_tol
+from .bmetric import ValueEq, leq_tol
 from .errors import DomainError, NumericEvalError, UsageError, _renumber, require_finite
 
 DIVERGENCE_FACTOR = 1e12
@@ -59,8 +59,9 @@ class StopRule:
             raise UsageError("max_iterations too small")
 
 
-@dataclass
-class IterationTrace:
+@dataclass(eq=False)
+class IterationTrace(ValueEq):
+    __hash__ = None
     points: np.ndarray            # float64 (n, m), includes the seeds
     alphas: np.ndarray            # (n-1,), alphas[i] = d(points[i], points[i+1])
     stop_reason: str              # converged | max_iterations | diverged
@@ -107,12 +108,13 @@ def _run(op, space, seeds, stop, strict_domain):
     in. A block costs one operator kernel call a step, and one box compare,
     one metric kernel call and one scan for stop events in all (`_block`).
     Its steps before the first event are kept; the step of an event runs
-    alone, as below, so no trace or error depends on the block size. A
-    block also ends before a step whose operator kernel raises or meets a
-    floating-point condition that numpy is not set to ignore, and runs its
-    steps alone if its metric kernel does: such a step runs outside the
-    block, so its warning, FloatingPointError or error is the one a step
-    alone gives, at the same step.
+    alone, as below, so no trace or error depends on the block size. The
+    block's kernels run with each floating-point condition numpy is not set
+    to ignore raised: a block ends before a step whose operator kernel
+    raises, and runs its steps alone if its metric kernel does. Such a step
+    runs outside the block, under the caller's settings, so its warning,
+    FloatingPointError or callback is the one a step alone gives, at the
+    same step.
 
     A step alone calls the operator and metric kernels once each. Between
     them one compare against the box's widened bounds tests the domain and,
@@ -138,16 +140,10 @@ def _run(op, space, seeds, stop, strict_domain):
     k, limit = op.arity, stop.max_iterations
     f = operators.KERNELS[op.kind]
     d = bmetric.KERNELS[space.kind]
-    # the box's bounds shaped (1, m) as a step's (S, m) output is: a compare
-    # that broadcasts across a missing axis costs twice as much at one row
-    lo_tol, hi_tol = space.domain.lo_tol[None], space.domain.hi_tol[None]
     step_tol = stop.step_tol
     cap = max(n, min(_INITIAL_CAPACITY, limit))
     points = np.empty((runs, cap, m))
     alphas = np.empty((runs, cap))
-    # step-major views of the same buffers: at_step[n] is every row's point n,
-    # and writes through them are the cheapest numpy indexing offers
-    at_step, alphas_at_step = points.swapaxes(0, 1), alphas.T
     points[:, :n] = seeds
     try:  # checked, as every step distance is below
         alphas[:, :n - 1] = space.distance_batch(
@@ -161,10 +157,10 @@ def _run(op, space, seeds, stop, strict_domain):
     out_of_domain = [0] * runs
     traces = [None] * runs
     blowup = None  # per row: the step distance past which its run diverged
-    # a block's speculated steps call back at each floating-point condition
-    # the caller does not ignore, in place of its warning or error
-    watched = {condition: "ignore" if mode == "ignore" else "call"
-               for condition, mode in np.geterr().items()}
+    # a block's kernels raise at each floating-point condition the caller
+    # does not ignore, in place of its warning, callback or error
+    raised = {condition: "ignore" if mode == "ignore" else "raise"
+              for condition, mode in np.geterr().items()}
     # a kernel error names a buffer row: re-raise it naming the run that row
     # holds, through a lambda because `ids` is rebound as runs stop
     with _renumber(lambda row: ids[row]):
@@ -173,21 +169,21 @@ def _run(op, space, seeds, stop, strict_domain):
                 cap = min(2 * cap, limit)
                 points = np.concatenate([points, np.empty((len(ids), cap - n, m))], axis=1)
                 alphas = np.concatenate([alphas, np.empty((len(ids), cap - n))], axis=1)
-                at_step, alphas_at_step = points.swapaxes(0, 1), alphas.T
             nxt = f(op, points[:, n - k:n])
             b = 1 if blowup is None else min(_horizon(alphas, n, blowup, step_tol),
                                              limit - n, cap - n)
             if b > 1:
-                at_step[n] = nxt
-                done, outside = _block(op, space, points, alphas, n, b, (lo_tol, hi_tol),
-                                       blowup, step_tol, strict_domain, watched)
+                points[:, n] = nxt
+                done, outside = _block(op, space, points, alphas, n, b, blowup, step_tol,
+                                       strict_domain, raised)
                 if done:  # else step n has an event and runs alone, below
                     if outside is not None:
                         for r, count in enumerate(outside.tolist()):
                             out_of_domain[ids[r]] += count
                     n += done
                     continue
-            inside = (nxt >= lo_tol) & (nxt <= hi_tol)  # False at NaN and ±inf too
+            # False at NaN and ±inf too
+            inside = (nxt >= space.domain.lo_tol) & (nxt <= space.domain.hi_tol)
             if np.count_nonzero(inside) < inside.size:  # a fifth of inside.all()'s cost
                 operators.check_finite(nxt)
                 for r, ok in enumerate(inside.all(axis=1).tolist()):
@@ -196,9 +192,9 @@ def _run(op, space, seeds, stop, strict_domain):
                             raise DomainError(_in_run("iterate left the domain in strict mode",
                                                       ids[r], runs))
                         out_of_domain[ids[r]] += 1
-            at_step[n] = nxt
-            alpha = d(space, at_step[n - 1], nxt)
-            alphas_at_step[n - 1] = alpha
+            points[:, n] = nxt
+            alpha = d(space, points[:, n - 1], nxt)
+            alphas[:, n - 1] = alpha
             if blowup is None:  # alphas[:, 0] is set from here on; capped at the
                 # largest float, which no finite distance exceeds
                 blowup = np.minimum([DIVERGENCE_FACTOR * (1.0 + a) for a in alphas[:, 0].tolist()],
@@ -230,7 +226,6 @@ def _run(op, space, seeds, stop, strict_domain):
                 if not keep:
                     return traces
                 points, alphas = points[keep], alphas[keep]
-                at_step, alphas_at_step = points.swapaxes(0, 1), alphas.T
                 ids = [ids[r] for r in keep]
                 blowup = blowup[keep]
     for r, run in enumerate(ids):
@@ -264,47 +259,40 @@ def _horizon(alphas, n, blowup, step_tol):
     return math.ceil(min(least, BLOCK + 1)) - 1 if least > 2 else 1
 
 
-def _block(op, space, points, alphas, n, b, bounds, blowup, step_tol, strict_domain, watched):
+def _block(op, space, points, alphas, n, b, blowup, step_tol, strict_domain, raised):
     """Take steps n+1 .. n+b-1 after step n, already in `points`, with the
-    operator kernel alone, up to the first step whose kernel raises or meets
-    a floating-point condition `watched` maps to "call"; then test the steps
-    before it with one box compare and one metric kernel call, whose step
-    distances go to `alphas`.
+    operator kernel alone, up to the first step whose kernel raises: a
+    NumericEvalError, or a FloatingPointError at a condition that the
+    errstate `raised` sets to "raise". Then test the steps before it with
+    one box compare and one metric kernel call, whose step distances go to
+    `alphas`.
 
     Returns how many leading steps no run has an event at (a non-finite
     point, a point outside the box in strict mode, a non-finite step
     distance, one past blowup, one at step_tol), 0 if the metric kernel
-    raised or met a watched condition; and per row the points outside the
-    box in those steps, or None when every point is inside.
+    raised; and per row the points outside the box in those steps, or None
+    when every point is inside.
     """
     f, d, k = operators.KERNELS[op.kind], bmetric.KERNELS[space.kind], op.arity
-    lo_tol, hi_tol = bounds
-    at_step = points.swapaxes(0, 1)
-    met = []  # the watched conditions the kernels meet
-    with np.errstate(call=lambda condition, flag: met.append(condition), **watched):
+    with np.errstate(**raised):
         for j in range(n + 1, n + b):
             try:
-                at_step[j] = f(op, points[:, j - k:j])
-            except NumericEvalError:
-                met.append("error")
-            if met:  # step j is the next block's first, where this shows
-                met.clear()
-                b = j - n
+                points[:, j] = f(op, points[:, j - k:j])
+            except (NumericEvalError, FloatingPointError):
+                b = j - n  # step j is the next block's first, where this shows
                 break
         block = points[:, n:n + b]
         try:
             alpha = d(space, points[:, n - 1:n + b - 1], block)
-        except NumericEvalError:
+        except (NumericEvalError, FloatingPointError):  # each step runs alone up to it
             return 0, None
-        if met:  # each step runs alone until the one that meets it
-            return 0, None
-        alphas[:, n - 1:n + b - 1] = alpha
-        quiet = (alpha > step_tol) & (alpha <= blowup[:, None])  # False at NaN and inf
-        inside = (block >= lo_tol) & (block <= hi_tol)
-        outside = None
-        if np.count_nonzero(inside) < inside.size:
-            outside = ~inside.all(axis=2)
-            quiet &= ~outside if strict_domain else np.isfinite(block).all(axis=2)
+    alphas[:, n - 1:n + b - 1] = alpha
+    quiet = (alpha > step_tol) & (alpha <= blowup[:, None])  # False at NaN and inf
+    inside = (block >= space.domain.lo_tol) & (block <= space.domain.hi_tol)
+    outside = None
+    if np.count_nonzero(inside) < inside.size:
+        outside = ~inside.all(axis=2)
+        quiet &= ~outside if strict_domain else np.isfinite(block).all(axis=2)
     each = quiet.all(axis=0)
     kept = b if each.all() else int(each.argmin())
     return kept, None if outside is None else np.count_nonzero(outside[:, :kept], axis=1)
@@ -364,8 +352,9 @@ def iterate_many(op, space, starts, stop=None, strict_domain=False):
     return _run(op, space, arr, stop, strict_domain)
 
 
-@dataclass
-class BoundReport:
+@dataclass(eq=False)
+class BoundReport(ValueEq):
+    __hash__ = None
     theta: float
     K: float
     b: float

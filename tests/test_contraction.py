@@ -279,6 +279,22 @@ class TestCertificateSerialization:
         assert set(d) == {"condition", "verdict", "samples", "seed", "slack_min",
                           "estimated_constant", "witness"}
 
+    def test_witnesses_and_certificates_compare_by_value(self):
+        # a falsified check at m = 2, whose witness is a (3, 2) window
+        box = Box(np.full(2, -1.0), np.ones(2))
+        run = lambda kappa: verify(averaging(2, dimension=2), squared_euclidean(box),
+                                   ciric_max(kappa), 500, 3)
+        a, b, other = run(0.1), run(0.1), run(0.2)
+        assert a.witness.window.shape == (3, 2)
+        assert (a.witness == b.witness) is True and (a == b) is True
+        assert (a.witness == other.witness) is False and (a.witness != other.witness) is True
+        assert (a == other) is False
+        moved = Witness(a.witness.window + [[0.0, 0.0], [0.0, 1e-9], [0.0, 0.0]],
+                        a.witness.lhs, a.witness.rhs)
+        assert (moved == a.witness) is False
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(a.witness)
+
     def test_condition_dict(self):
         spec = ConditionSpec("weak_phi", phi=piecewise_phi())
         assert spec.to_dict() == {"kind": "weak_phi", "phi": {"kind": "paper_piecewise"}}

@@ -140,6 +140,22 @@ class TestPicard:
         np.testing.assert_allclose(ratios, 0.25, rtol=1e-12)
 
 
+def test_traces_and_bound_reports_compare_by_value(sq_space):
+    a, b = (iterate(averaging(2), sq_space, [2.0, 1.0]) for _ in range(2))
+    other = iterate(averaging(2), sq_space, [2.0, 1.5])
+    assert len(a.alphas) >= 2 and a.limit is not None
+    assert (a == b) is True and (a != b) is False
+    assert (a == other) is False and (a != other) is True
+    b.points[-1, 0] = np.nextafter(b.points[-1, 0], 1.0)  # one ulp
+    assert (a == b) is False
+    report = presic_bounds(a, 0.5, 2.0, 2)
+    assert (report == presic_bounds(a, 0.5, 2.0, 2)) is True
+    assert (report == presic_bounds(a, 0.6, 2.0, 2)) is False
+    for unhashable in (a, report):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(unhashable)
+
+
 class TestPresicBounds:
     def test_closed_form_k1(self, sq_space):
         # f(x)=x/2 under (x-y)^2: eta=1/4, theta=1/4, alpha_n = 4*4^-n, K=4
@@ -977,6 +993,41 @@ class TestLoopChecks:
             with np.errstate(all="ignore"):
                 _assert_same_trace(trace, _reference_iterate(op, space, [1.0], stop))
 
+    def test_an_ignored_condition_keeps_its_blocks(self, monkeypatch):
+        # the transient overflow above, under over="ignore", falls inside a
+        # block that goes on past it; with warnings on, the block ends there
+        # and the step of the overflow runs alone
+        ratio = "(1e100/(x1 - 0.0625 + 1e-200))"
+        op = from_dsl(f"x1/2 + 1/(1 + {ratio}*{ratio})", 1)
+        space, stop = euclidean(Box([-2.0], [2.0])), StopRule(residual_tol=1e-14, step_tol=1e-14)
+        calls = {}
+        for mode in ("ignore", "warn"):
+            calls[mode] = []
+            _count_metric_calls(monkeypatch, space, calls[mode])
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with np.errstate(over=mode):
+                    trace = iterate(op, space, [1.0], stop)
+            monkeypatch.undo()
+            assert len(caught) == (mode == "warn")
+            with np.errstate(over="ignore"):
+                _assert_same_trace(trace, _reference_iterate(op, space, [1.0], stop))
+        assert len(calls["ignore"]) <= math.ceil((len(trace) - 1) / 8) + 3
+        assert len(calls["ignore"]) < len(calls["warn"])
+
+    def test_a_block_keeps_the_callers_error_callback(self, eu_space, monkeypatch):
+        # the kernels of every step, in a block or alone, see the callback
+        # the caller set, never one of the solver's own
+        seen = []
+        kernel = operators.KERNELS["affine"]
+        monkeypatch.setitem(operators.KERNELS, "affine",
+                            lambda *args: seen.append(np.geterrcall()) or kernel(*args))
+        callback = lambda condition, flag: None  # noqa: E731
+        with np.errstate(call=callback, over="call"):
+            trace = iterate(affine([0.5]), eu_space, [1.5])
+        assert trace.stop_reason == "converged" and len(seen) >= len(trace) - 1
+        assert all(each is callback for each in seen)
+
     def test_minus_inf_output_in_a_box_down_to_minus_the_largest_float(self):
         space = euclidean(Box([-np.finfo(float).max], [0.0]))
         with np.errstate(over="ignore"):
@@ -1086,3 +1137,4 @@ class TestLoopChecksInAnyBlocks(TestLoopChecks):
     # these count the calls of predicted blocks, which a forced size replaces
     test_in_box_steps_call_no_per_step_checks = None
     test_long_in_box_run_calls_the_metric_once_a_block = None
+    test_an_ignored_condition_keeps_its_blocks = None
