@@ -305,16 +305,13 @@ def _sample_windows(space, width, samples, seed, grid_points=None, budget=2_000_
 
 def sampled(evaluate, *sampling):
     """Yield `evaluate(windows)` for each chunk of `_sample_windows(*sampling)`;
-    a NumericEvalError of `evaluate` names its window's sample index."""
+    a NumericEvalError of `evaluate` names its window's sample index. A
+    result the caller holds is still held while the next chunk is drawn and
+    evaluated, so `evaluate` returns only what the caller needs of a chunk."""
     for offset, windows in _sample_windows(*sampling):
         with _renumber(offset.__add__):
             out = evaluate(windows)
         yield out
-
-
-def _distances(space, *slots):
-    """windows -> (windows, [d(windows[:, i], windows[:, j]) for (i, j) in slots])."""
-    return lambda w: (w, [space.distance_batch(w[:, i], w[:, j]) for i, j in slots])
 
 
 def max_ratio(chunks):
@@ -356,24 +353,27 @@ def check_axioms(space, sample_count, seed, grid_points=None, max_triples=2_000_
             if axiom not in worst or gap.max() > abs(worst[axiom].lhs - worst[axiom].rhs):
                 worst[axiom] = at[1]
 
-    # b1: d(x,x) = 0 for every sampled point
-    points = sampled(_distances(space, (0, 0)), space, 1, sample_count, seed, grid_points,
-                     max_triples)
-    for w, (self_d,) in points:
+    def identity(w):  # b1: d(x,x) = 0 for every sampled point
+        self_d = space.distance_batch(w[:, 0], w[:, 0])
         tally("b1", ~leq_tol(self_d, 0.0), self_d, np.zeros_like(self_d), w[:, 0])
 
-    checked, seed = 0, seed + 1 if seed is not None else None
-    triples = sampled(_distances(space, (0, 1), (1, 0), (0, 2), (2, 1)), space, 3, sample_count,
-                      seed, grid_points, max_triples)
-    for w, (d_xy, d_yx, d_xz, d_zy) in triples:
+    def triangle(w):  # b2 and b3 on the sampled triples (x, y, z); returns how many
         xs, ys, zs = w[:, 0], w[:, 1], w[:, 2]
+        d_xy = space.distance_batch(xs, ys)
+        d_yx = space.distance_batch(ys, xs)
+        d_xz = space.distance_batch(xs, zs)
+        d_zy = space.distance_batch(zs, ys)
         # b2: symmetry on the (x, y) pairs
         tally("b2", np.abs(d_xy - d_yx) > TOL_REL * (1.0 + np.abs(d_xy)), d_xy, d_yx, xs, ys)
         # b3: relaxed triangle inequality against the declared b
         rhs = space.b * (d_xz + d_zy)
         tally("b3", ~leq_tol(d_xy, rhs), d_xy, rhs, xs, zs, ys)
-        checked += len(w)
+        return len(w)
 
+    for _ in sampled(identity, space, 1, sample_count, seed, grid_points, max_triples):
+        pass
+    seed = seed + 1 if seed is not None else None
+    checked = sum(sampled(triangle, space, 3, sample_count, seed, grid_points, max_triples))
     return AxiomReport(checked, counts, first, worst)
 
 
@@ -385,10 +385,12 @@ def estimate_b(space, sample_count, seed, grid_points=None, max_triples=2_000_00
     time, and witness attains it. Triples with a zero denominator are skipped; if every triple is
     degenerate the domain has collapsed and DegenerateDomainError is raised.
     """
-    # d(x, y), d(x, z) and d(z, y) of each triple (x, z, y)
-    triples = sampled(_distances(space, (0, 2), (0, 1), (1, 2)), space, 3, sample_count, seed,
-                      grid_points, max_triples)
-    b_hat, at = max_ratio((w, d_xy, d_xz + d_zy) for w, (d_xy, d_xz, d_zy) in triples)
+    def ratio(w):  # d(x,y) and d(x,z) + d(z,y) of each triple (x, z, y)
+        x, z, y = w[:, 0], w[:, 1], w[:, 2]
+        num = space.distance_batch(x, y)
+        return w, num, space.distance_batch(x, z) + space.distance_batch(z, y)
+
+    b_hat, at = max_ratio(sampled(ratio, space, 3, sample_count, seed, grid_points, max_triples))
     if at is None:
         raise DegenerateDomainError("all sampled triples have zero denominator")
     return {"b_hat": b_hat, "witness": tuple(at[0])}

@@ -338,22 +338,28 @@ def verify(op, space, cond, samples, seed, grid_points=None, strict_domain=False
     cond.validate(k=op.arity, b=space.b)
     op = op.diagonal if cond.kind in DIAGONAL_KINDS else op  # F's windows are pairs
     strict = cond.kind == "diagonal_strict"
-    count, slack_min, witness, out_of_domain = 0, np.inf, None, 0
-    evaluate = partial(_evaluate, op, space, cond,
-                       count_outside=partial(_count_outside, space, strict_domain))
-    for windows, lhs, rhs, out_count in sampled(evaluate, space, op.arity + 1, samples, seed,
-                                                grid_points):
+    count_outside = partial(_count_outside, space, strict_domain)
+
+    def check(windows):  # a chunk's count, least slack, first violation and outside count
+        windows, lhs, rhs, out_count = _evaluate(op, space, cond, windows, count_outside)
         tol = TOL_REL * (1.0 + np.abs(rhs))
         bad = lhs > rhs + tol
         if strict:
             tie = np.abs(lhs - rhs) <= tol
             bad |= tie
-        if witness is None and bad.any():
+        first = None
+        if bad.any():
             i = int(np.argmax(bad))
-            witness = Witness(windows[i].copy(), float(lhs[i]), float(rhs[i]),
-                              tie=strict and bool(tie[i]))
-        count += len(windows)
-        slack_min = np.minimum(slack_min, (rhs - lhs).min(initial=np.inf))
+            first = Witness(windows[i].copy(), float(lhs[i]), float(rhs[i]),
+                            tie=strict and bool(tie[i]))
+        return len(windows), (rhs - lhs).min(initial=np.inf), first, out_count
+
+    count, slack_min, witness, out_of_domain = 0, np.inf, None, 0
+    for n, slack, first, out_count in sampled(check, space, op.arity + 1, samples, seed,
+                                              grid_points):
+        count += n
+        slack_min = np.minimum(slack_min, slack)
+        witness = first if witness is None else witness
         out_of_domain += out_count
     if count == 0:
         raise DegenerateDomainError("no sampled pair has x != y")
