@@ -274,7 +274,7 @@ def _block(op, space, points, alphas, n, b, blowup, step_tol, strict_domain, rai
     when every point is inside.
     """
     f, d, k = operators.KERNELS[op.kind], bmetric.KERNELS[space.kind], op.arity
-    at_step = points.swapaxes(0, 1)  # a write to at_step[j] costs half one to points[:, j]
+    at_step = points.swapaxes(0, 1)  # a write to at_step[j] costs about half of one to points[:, j]
     with np.errstate(**raised):
         for j in range(n + 1, n + b):
             try:
