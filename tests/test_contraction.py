@@ -282,8 +282,11 @@ class TestCertificateSerialization:
     def test_witnesses_and_certificates_compare_by_value(self):
         # a falsified check at m = 2, whose witness is a (3, 2) window
         box = Box(np.full(2, -1.0), np.ones(2))
-        run = lambda kappa: verify(averaging(2, dimension=2), squared_euclidean(box),
-                                   ciric_max(kappa), 500, 3)
+
+        def run(kappa):
+            return verify(averaging(2, dimension=2), squared_euclidean(box), ciric_max(kappa),
+                          500, 3)
+
         a, b, other = run(0.1), run(0.1), run(0.2)
         assert a.witness.window.shape == (3, 2)
         assert (a.witness == b.witness) is True and (a == b) is True
