@@ -129,73 +129,55 @@ def cmd_estimate_b(args):
     return 0
 
 
+def _check(label, ok, detail):
+    """A demo row: its label, status, detail and whether it passed."""
+    return label, "pass" if ok else "FAIL", detail, ok
+
+
 def _demo_iteration_example(args):
-    rows = []
-    ok_all = True
     box = bmetric.Box(np.zeros(1), np.full(1, 2.0))
     space = bmetric.squared_euclidean(box)
     stop = solver.StopRule(residual_tol=1e-20, step_tol=1e-20)
+    rows = []
     for k in (1, 2, 3, 5):
-        rng = np.random.default_rng(_seed(args))
         # the draws of 20 successive sample(rng, k) calls, in one call
-        starts = box.sample(rng, 20 * k).reshape(20, k, 1)
+        starts = box.sample(np.random.default_rng(_seed(args)), 20 * k).reshape(20, k, 1)
         traces = solver.iterate_many(operators.averaging(k), space, starts, stop)
+        # a run that did not converge has no limit, and fails its row
         worst = max(float(np.abs(t.limit).max()) if t.limit is not None else np.inf
                     for t in traces)
-        ok_all = ok_all and all(t.stop_reason == "converged" for t in traces)
-        ok = worst < 1e-8
-        ok_all = ok_all and ok
-        rows.append((f"k={k}", "pass" if ok else "FAIL", f"max |limit| = {worst:.3e}"))
-    return rows, ok_all
+        rows.append(_check(f"k={k}", worst < 1e-8, f"max |limit| = {worst:.3e}"))
+    return rows
 
 
 def _demo_bmetric_constants(args):
+    line, box4 = (bmetric.Box(np.zeros(m), np.full(m, 2.0)) for m in (1, 4))
+    # label, space, samples, grid points, the range [lo, hi] of b_hat, detail;
+    # the squared-Euclidean b_hat must exceed 1.9, so its lo is the next float
+    checks = (("power p=2", bmetric.power(2.0, line), 0, 100, 2.0 - 0.05, 2.0, ", declared 2"),
+              ("power p=3", bmetric.power(3.0, line), 0, 100, 4.0 - 0.05, 4.0, ", declared 4"),
+              ("lp p=1/2 dim=4", bmetric.lp_truncated(0.5, box4), 20000, None, -np.inf, 4.0,
+               " <= 4"),
+              ("squared_euclidean", bmetric.squared_euclidean(line), 0, 100,
+               np.nextafter(1.9, 2.0), 2.0, ", declared 2"))
     rows = []
-    ok_all = True
-    box = bmetric.Box(np.zeros(1), np.full(1, 2.0))
-    for p in (2.0, 3.0):
-        est = bmetric.estimate_b(bmetric.power(p, box), 0, _seed(args), grid_points=100)
-        target = 2.0 ** (p - 1.0)
-        ok = target - 0.05 <= est["b_hat"] <= target + 1e-9
-        ok_all = ok_all and ok
-        rows.append((f"power p={p:g}", "pass" if ok else "FAIL",
-                     f"b_hat = {est['b_hat']:.6f}, declared {target:g}"))
-    box4 = bmetric.Box(np.zeros(4), np.full(4, 2.0))
-    est = bmetric.estimate_b(bmetric.lp_truncated(0.5, box4), 20000, _seed(args))
-    ok = est["b_hat"] <= 4.0 + 1e-9
-    ok_all = ok_all and ok
-    rows.append(("lp p=1/2 dim=4", "pass" if ok else "FAIL",
-                 f"b_hat = {est['b_hat']:.6f} <= 4"))
-    est = bmetric.estimate_b(bmetric.squared_euclidean(box), 0, _seed(args), grid_points=100)
-    ok = est["b_hat"] <= 2.0 + 1e-9 and est["b_hat"] > 1.9
-    ok_all = ok_all and ok
-    rows.append(("squared_euclidean", "pass" if ok else "FAIL",
-                 f"b_hat = {est['b_hat']:.6f}, declared 2"))
-    return rows, ok_all
+    for label, space, samples, grid_points, lo, hi, detail in checks:
+        b_hat = bmetric.estimate_b(space, samples, _seed(args), grid_points=grid_points)["b_hat"]
+        rows.append(_check(label, lo <= b_hat <= hi + 1e-9, f"b_hat = {b_hat:.6f}{detail}"))
+    return rows
 
 
 def _demo_phi_anomaly(args):
-    box = bmetric.Box(np.zeros(1), np.full(1, 2.0))
-    space = bmetric.squared_euclidean(box)
     op = operators.averaging(1)
     cond = contraction.weak_phi(contraction.piecewise_phi())
-    cert = contraction.verify(op, space, cond, max(args.samples, 2000), _seed(args))
-    rows = []
-    if cert.verdict == "falsified":
-        w = cert.witness
-        rows.append(("full box [0,2]", "falsified",
-                     f"window {np.asarray(w.window).ravel().tolist()} "
-                     f"lhs={w.lhs:.6f} rhs={w.rhs:.6f}"))
-        ok = w.rhs < w.lhs
-    else:
-        rows.append(("full box [0,2]", "passed (unexpected)", ""))
-        ok = False
-    sub = bmetric.squared_euclidean(bmetric.Box(np.zeros(1), np.full(1, 1.5)))
-    cert2 = contraction.verify(op, sub, cond, max(args.samples, 2000), _seed(args))
-    rows.append(("sub-box [0,1.5]", cert2.verdict,
-                 f"slack_min = {cert2.slack_min:.6f}"))
-    ok = ok and cert2.passed
-    return rows, ok
+    full, sub = (contraction.verify(op, bmetric.squared_euclidean(bmetric.Box(np.zeros(1), [hi])),
+                                    cond, max(args.samples, 2000), _seed(args)) for hi in (2.0, 1.5))
+    w = full.witness  # a witness of weak_phi has lhs > rhs + tol: the anomaly
+    found = w is not None
+    seen = (f"window {np.asarray(w.window).ravel().tolist()} lhs={w.lhs:.6f} rhs={w.rhs:.6f}"
+            if found else "")
+    return [("full box [0,2]", "falsified" if found else "passed (unexpected)", seen, found),
+            ("sub-box [0,1.5]", sub.verdict, f"slack_min = {sub.slack_min:.6f}", sub.passed)]
 
 
 DEMOS = {"paper-example-2-1-2": _demo_iteration_example,
@@ -207,10 +189,11 @@ DEMO_NAMES = tuple(DEMOS)
 def cmd_demo(args):
     if args.name not in DEMOS:
         raise UsageError(f"unknown demo {args.name!r}; choose from {', '.join(DEMO_NAMES)}")
-    rows, ok = DEMOS[args.name](args)
+    rows = DEMOS[args.name](args)
+    ok = all(passed for *_, passed in rows)
     width = max(len(r[0]) for r in rows)
     print(f"demo: {args.name}")
-    for label, status, detail in rows:
+    for label, status, detail, _ in rows:
         print(f"  {label.ljust(width)}  {status:10}  {detail}")
     print("overall:", "pass" if ok else "FAIL")
     return 0 if ok else 1

@@ -33,7 +33,7 @@ from . import bmetric, contraction, operators, solver
 from .errors import UsageError
 
 
-@dataclass
+@dataclass(eq=False)  # `==` is identity: no caller compares problems
 class ProblemFile:
     space: bmetric.BMetricSpace
     operator: operators.PresicOperator

@@ -573,3 +573,18 @@ class TestNonFiniteDistances:
                           lambda: verify(averaging(2), huge, ciric_max(0.3), 1000, 1)):
                 with pytest.raises(NumericEvalError, match=r"squared_euclidean distance \(row 0\)"):
                     check()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: as_point(np.zeros((2, 2))), "a point must be a 1-d vector, got shape (2, 2)"),
+    (lambda: Box(np.zeros(2), np.ones(3)), "box lo/hi must be 1-d vectors of equal length"),
+    (lambda: BMetricSpace("chebyshev", Box(np.zeros(1), np.ones(1)), 1.0),
+     "unknown metric kind 'chebyshev'"),
+    (lambda: euclidean(Box(np.zeros(2), np.ones(2))).distance_batch(np.zeros((3, 1)),
+                                                                  np.zeros((3, 1))),
+     "dimension mismatch in distance"),
+], ids=["point-not-1d", "box-shapes-differ", "unknown-kind", "batch-dimension"])
+def test_input_checks(call, message):
+    with pytest.raises(UsageError) as info:
+        call()
+    assert str(info.value) == message

@@ -400,3 +400,26 @@ class TestSeedFallback:
                             cwd=Path(__file__).resolve().parent.parent)
         assert r1.returncode == 0
         assert json.loads(r1.stdout)["seed"] == 17
+
+
+class TestLibraryErrorExitCodes:
+    """A library error exits 1 and a bad PRESIC_LAB_SEED exits 2, with nothing
+    on stdout and one `error: ...` line on stderr."""
+
+    @pytest.mark.parametrize("blocks, argv, message", [
+        ({"space": {"kind": "euclidean", "box": {"lo": [-2.0], "hi": [2.0]}},
+          "operator": {"kind": "affine", "weights": [0.5], "offset": [1.1]},
+          "solve": {"start": [[-2.0]]}},
+         ("solve", "--strict-domain"), "iterate left the domain in strict mode"),
+        ({"condition": {"kind": "banach", "eta": 0.5}},
+         ("verify", "--grid", "--grid-points", "1"), "no sampled pair has x != y"),
+    ], ids=["strict-domain-solve", "grid-of-one-point"])
+    def test_library_error_exits_one(self, tmp_path, capsys, blocks, argv, message):
+        command, *options = argv
+        assert run_cli(command, _problem(tmp_path, **blocks), *options) == (1, "")
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_non_integer_seed_variable_exits_two(self, monkeypatch, capsys):
+        monkeypatch.setenv("PRESIC_LAB_SEED", "abc")
+        assert run_cli("verify", str(PROBLEMS / "averaging_k1.json")) == (2, "")
+        assert capsys.readouterr().err == "error: PRESIC_LAB_SEED must be an integer\n"

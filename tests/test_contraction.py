@@ -45,6 +45,7 @@ from presic_lab.contraction import (
     DIAGONAL_KINDS,
     FIELDS,
     ContractionCertificate,
+    PhiFunction,
     ConditionSpec,
     Witness,
     _count_outside,
@@ -929,3 +930,14 @@ def test_validate_unknown_kind():
 def test_validate_rejects_a_nan_constant(spec):
     with pytest.raises(UsageError, match=f"{spec.kind} needs"):
         spec.validate(k=2, b=2.0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: PhiFunction("cubic"), "unknown gauge kind 'cubic'"),
+    (lambda: piecewise_phi()(2.0 ** 62), "gauge argument too large for the piecewise bands"),
+    (lambda: presic_sum([0.1, 0.2]).validate(k=3), "presic_sum needs one r_j per operator slot"),
+], ids=["unknown-gauge-kind", "past-the-piecewise-bands", "r-count-not-k"])
+def test_input_checks(call, message):
+    with pytest.raises(UsageError) as info:
+        call()
+    assert str(info.value) == message

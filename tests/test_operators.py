@@ -6,6 +6,7 @@ import pytest
 
 from presic_lab import (
     NumericEvalError,
+    PresicOperator,
     UsageError,
     affine,
     averaging,
@@ -145,3 +146,22 @@ class TestArity:
         op = averaging(2.0)
         assert op.arity == 2 and type(op.arity) is int
         np.testing.assert_array_equal(op.apply([[1.0], [3.0]]), [1.0])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: PresicOperator("rotation", 1, 1), "unknown operator kind 'rotation'"),
+    (lambda: PresicOperator("averaging", 1, 0), "operator dimension must be >= 1"),
+    (lambda: averaging(2).apply_batch(np.zeros((4, 3, 1))),
+     "batch shape (4, 3, 1) does not match (N, 2, 1)"),
+    (lambda: from_dsl(["x1", "x1 / 2"], 1, dimension=1),
+     "need one expression per output coordinate"),
+], ids=["unknown-kind", "dimension-below-one", "batch-shape", "dsl-expression-count"])
+def test_input_checks(call, message):
+    with pytest.raises(UsageError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_apply_reads_a_flat_window_as_k_points_at_m_1():
+    assert averaging(2).apply([1.0, 2.0]).tolist() == [0.75]
+    assert affine([0.5, 0.25], 1.0).apply(np.array([2.0, 4.0])).tolist() == [3.0]

@@ -1138,3 +1138,31 @@ class TestLoopChecksInAnyBlocks(TestLoopChecks):
     test_in_box_steps_call_no_per_step_checks = None
     test_long_in_box_run_calls_the_metric_once_a_block = None
     test_an_ignored_condition_keeps_its_blocks = None
+
+
+def _short_trace():
+    return IterationTrace(np.array([[1.0], [0.5]]), np.array([0.25]), "max_iterations")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: presic_bounds(_short_trace(), 0.5, 2.0, 1).tail_bound(0, 1),
+     "tail_bound needs n >= 1 and p >= 1"),
+    (lambda: presic_bounds(_short_trace(), 0.5, 2.0, 1).tail_bound(1, 0),
+     "tail_bound needs n >= 1 and p >= 1"),
+    (lambda: presic_bounds(_short_trace(), 0.5, 2.0, 2),
+     "trace too short: need at least k+1=3 points"),
+    (lambda: kannan_bounds(0.1, 1, 1.0, -1.0, 3), "d01 and n must be nonnegative"),
+    (lambda: kannan_bounds(0.1, 1, 1.0, 1.0, -1), "d01 and n must be nonnegative"),
+    (lambda: cauchy_profile(_short_trace(), euclidean(Box(np.zeros(1), np.ones(1))), 0),
+     "P must be >= 1"),
+], ids=["tail-n-below-one", "tail-p-below-one", "trace-too-short", "negative-d01",
+        "negative-n", "profile-window-below-one"])
+def test_input_checks(call, message):
+    with pytest.raises(UsageError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_cauchy_profile_of_a_trace_shorter_than_its_window_is_empty():
+    profile = cauchy_profile(_short_trace(), euclidean(Box(np.zeros(1), np.ones(1))), 2)
+    assert profile.shape == (0,)
