@@ -5,11 +5,11 @@ condition kind x metric kind x operator kind, on random samples and on a
 small grid; `estimate_constant` for its three kinds; `estimate_b` and
 `check_axioms` for each metric; `iterate`, `picard` and `iterate_many`
 traces for each operator x metric; `presic_bounds` at several (eta, k); and
-`kannan_report`. A call that raises is recorded by its exception type and
-message. A few results are also kept whole, under "payloads", so that a
-mismatch there reads as a diff. The header names the numpy version and the
-platform that wrote the file. Run this file as a script to rewrite it from
-the package on the import path:
+`kannan_report`. A call that raises a PresicLabError is recorded by its
+exception type and message. A few results are also kept whole, under
+"payloads", so that a mismatch there reads as a diff. The header names the
+numpy version and the platform that wrote the file. Run this file as a
+script to rewrite it from the package on the import path:
 
     PYTHONPATH=src python tests/test_golden_digests.py
 """
@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from presic_lab import bmetric, contraction, dsl, operators, solver
+from presic_lab import PresicLabError, bmetric, contraction, dsl, operators, solver
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "digests.json"
 # the results kept whole beside their digests
@@ -50,7 +50,7 @@ CONDITIONS = {"presic_sum": contraction.presic_sum([0.1, 0.2, 0.3]),
               "banach": contraction.banach(0.5),
               "diagonal_strict": contraction.diagonal_strict(),
               "diagonal_phi": contraction.diagonal_phi(contraction.linear_phi(0.5))}
-# sampling -> its grid_points; every sampled check draws 64 samples when it draws
+# sampling -> its grid_points; every sampled check takes 64 samples
 GRIDS = {"random": None, "grid": 3}
 STOP = solver.StopRule(max_iterations=60)
 STARTS = np.random.default_rng(11).uniform(-1.0, 1.5, size=(3, 3, 2))
@@ -130,7 +130,7 @@ def _results():
     for name, thunk in _cases():
         try:
             out[name] = _plain(thunk())
-        except Exception as exc:  # noqa: BLE001 - a raise is a result too
+        except PresicLabError as exc:  # a raise is a result too
             out[name] = {"raises": type(exc).__name__, "message": str(exc)}
     return out
 
