@@ -17,13 +17,13 @@ script to rewrite it from the package on the import path:
 import dataclasses
 import hashlib
 import json
-import platform
-import sys
 from pathlib import Path
 
 import numpy as np
 
 from presic_lab import PresicLabError, bmetric, contraction, dsl, operators, solver
+
+from test_golden_cli import _header
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "digests.json"
 # the results kept whole beside their digests
@@ -137,10 +137,6 @@ def _results():
 
 def _digest(value):
     return hashlib.sha256(json.dumps(value, sort_keys=True).encode()).hexdigest()
-
-
-def _header():
-    return {"numpy": np.__version__, "platform": f"{sys.platform}-{platform.machine()}"}
 
 
 def test_library_results_match_the_golden_file():
