@@ -83,6 +83,18 @@ class ValueEq:
         return hash(self._key())
 
 
+def payload(result, *omit):
+    """The fields of the dataclass `result`, but those named in `omit`, in
+    field order, as JSON data: an array, tuple or list becomes a list of
+    floats, a dsl.Expr its source, and a nested spec or result its to_dict()."""
+    def plain(v):
+        if isinstance(v, (np.ndarray, tuple, list)):
+            return np.asarray(v, dtype=float).tolist()
+        return v.source if isinstance(v, dsl.Expr) else v.to_dict() if hasattr(v, "to_dict") else v
+
+    return {f.name: plain(getattr(result, f.name)) for f in fields(result) if f.name not in omit}
+
+
 @dataclass(frozen=True, eq=False)
 class Box(ValueEq):
     """Axis-aligned sampling domain [lo_1,hi_1] x ... x [lo_m,hi_m]."""
@@ -206,9 +218,8 @@ def _power(space, xs, ys):
 
 
 def _lp_truncated(space, xs, ys):
-    s = fold(np.add, np.abs(xs - ys) ** space.p, -1)
-    # 0^(1/p) handled explicitly so d(x,x) is exactly 0
-    return np.where(s == 0.0, 0.0, s ** (1.0 / space.p))
+    # a sum of |.|^p is never -0.0, and pow(+0, y > 0) is +0, so d(x, x) is +0
+    return fold(np.add, np.abs(xs - ys) ** space.p, -1) ** (1.0 / space.p)
 
 
 def _custom_dsl(space, xs, ys):

@@ -37,17 +37,22 @@ def _emit(payload, args):
 
 
 def _seed(args, prob=None):
-    if args.seed is not None:
-        return args.seed
-    if prob is not None and prob.solve and prob.solve["seed"] is not None:
-        return prob.solve["seed"]
-    env = os.environ.get("PRESIC_LAB_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise UsageError("PRESIC_LAB_SEED must be an integer") from None
-    return 0
+    """--seed, else the problem file's solve.seed, else PRESIC_LAB_SEED, else
+    0; a UsageError naming its source unless it is an integer >= 0."""
+    file_seed = prob.solve["seed"] if prob is not None and prob.solve else None
+    for source, seed in (("--seed", args.seed), ("solve.seed", file_seed),
+                         ("PRESIC_LAB_SEED", os.environ.get("PRESIC_LAB_SEED"))):
+        if seed is not None:
+            break
+    else:
+        return 0
+    try:
+        seed = int(seed)  # a string only from the environment
+    except ValueError:
+        raise UsageError(f"{source} must be an integer") from None
+    if seed < 0:
+        raise UsageError(f"{source} must be an integer >= 0, got {seed}")
+    return seed
 
 
 def _grid_points(args):

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import dsl
 # re-exports CHUNK, and _sample_windows, whose budget default is verify's
-from .bmetric import CHUNK, TOL_REL, ValueEq, _sample_windows, fold, max_ratio, sampled
+from .bmetric import CHUNK, TOL_REL, ValueEq, _sample_windows, fold, max_ratio, payload, sampled
 from .errors import (DegenerateDomainError, DomainError, NumericEvalError, UsageError,
                      _renumber, require_finite)
 from .operators import as_int
@@ -69,8 +69,7 @@ class PhiFunction:
         return float(out) if out.ndim == 0 else out
 
     def to_dict(self):
-        out = {"kind": self.kind, "c": self.c, "expr": self.expr.source if self.expr else None}
-        return {key: value for key, value in out.items() if value is not None}
+        return {key: value for key, value in payload(self).items() if value is not None}
 
     @classmethod
     def from_dict(cls, d):
@@ -160,13 +159,8 @@ class ConditionSpec:
                 raise UsageError(f"{self.kind} needs {low} {KEYS[field]} < 1")
 
     def to_dict(self):
-        out = {"kind": self.kind}
-        for field, key in KEYS.items():
-            value = getattr(self, field)
-            if value is not None:
-                out[key] = (value.to_dict() if field == "phi" else
-                            [float(v) for v in value] if field == "r" else value)
-        return out
+        return {KEYS.get(field, field): value for field, value in payload(self).items()
+                if value is not None}
 
     @classmethod
     def from_dict(cls, d):
@@ -226,12 +220,7 @@ class Witness(ValueEq):
     tie: bool = False
 
     def to_dict(self):
-        return {
-            "window": [[float(v) for v in row] for row in np.atleast_2d(self.window)],
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            **({"tie": True} if self.tie else {}),
-        }
+        return payload(self, *(() if self.tie else ("tie",)))
 
 
 @dataclass
@@ -250,15 +239,7 @@ class ContractionCertificate:
         return self.verdict == "passed_on_samples"
 
     def to_dict(self):
-        return {
-            "condition": self.condition.to_dict(),
-            "verdict": self.verdict,
-            "samples": self.samples,
-            "seed": self.seed,
-            "slack_min": self.slack_min,
-            "estimated_constant": self.estimated_constant,
-            "witness": self.witness.to_dict() if self.witness else None,
-        }
+        return payload(self, "out_of_domain")
 
 
 def _count_outside(space, strict_domain, *outputs):

@@ -17,7 +17,7 @@ Schema::
                     "eta": r | "phi": {"kind": "linear"|"paper_piecewise"|"dsl",
                                        "c": r, "expr": "..."}},
       "solve": {"start": <k points, as solver.iterate takes them> | "random",
-                "seed": <int, optional>,
+                "seed": <int >= 0, optional>,
                 "stop": {"residual_tol": r, "step_tol": r, "max_iterations": n}}
     }
 """
@@ -92,8 +92,11 @@ def _load_solve(cfg, op):
     start = cfg.get("start", "random")
     stop = {key: value for key, value in cfg.get("stop", {}).items()
             if key in solver.StopRule.__dataclass_fields__}  # other keys are ignored
+    seed = operators.as_int(cfg.get("seed", 0))
+    if seed is None:
+        raise UsageError(f"solve block field 'seed' must be an integer, got {cfg['seed']!r}")
     return {"start": start if start == "random" else solver._seed_window(op, start),
-            "seed": int(cfg["seed"]) if "seed" in cfg else None,
+            "seed": seed if "seed" in cfg else None,
             "stop": solver.StopRule(**stop)}  # which checks the values' types and ranges
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bmetric, contraction, operators
-from .bmetric import ValueEq, leq_tol
+from .bmetric import ValueEq, leq_tol, payload
 from .errors import DomainError, NumericEvalError, UsageError, _renumber, require_finite
 
 DIVERGENCE_FACTOR = 1e12
@@ -74,15 +74,7 @@ class IterationTrace(ValueEq):
         return len(self.points)
 
     def to_dict(self):
-        out = {
-            "points": self.points.tolist(),
-            "alphas": self.alphas.tolist(),
-            "stop_reason": self.stop_reason,
-            "limit": self.limit.tolist() if self.limit is not None else None,
-            "final_residual": self.final_residual,
-            "fitted_rate": self.fitted_rate,
-        }
-        return out
+        return payload(self, "out_of_domain")
 
     def to_csv_rows(self):
         """Rows (n, x, alpha_n); coordinates are ';'-joined."""
@@ -369,13 +361,7 @@ class BoundReport(ValueEq):
         return self.b ** p * self.K * self.theta ** n / (1.0 - self.theta)
 
     def to_dict(self):
-        return {
-            "theta": self.theta,
-            "K": self.K,
-            "b": self.b,
-            "per_step_bounds": self.per_step_bounds.tolist(),
-            "all_steps_within": self.all_steps_within,
-        }
+        return payload(self)
 
 
 def presic_bounds(trace, eta, b, k):

@@ -34,9 +34,15 @@ class TestDistance:
         assert sq_space.distance([0.0], [2.0]) == 4.0
 
     def test_identity_is_exactly_zero(self):
-        for space in builtin_spaces():
+        # +0, not -0: lp_truncated(1/3) raises its sum to 1/p = 3, an odd
+        # power, which would keep the sign of a -0 sum
+        spaces = builtin_spaces() + [lp_truncated(1 / 3, Box(np.full(3, -1.0), np.ones(3)))]
+        for space in spaces:
             x = (space.domain.lo + space.domain.hi) / 2
-            assert space.distance(x, x) == 0.0
+            d = space.distance(x, x)
+            assert d == 0.0 and not np.signbit(d)
+            xs = space.domain.sample(np.random.default_rng(0), 5)
+            assert not np.signbit(space.distance_batch(xs, xs)).any()
 
     def test_lp_single_coordinate(self):
         space = lp_truncated(0.5, Box(np.zeros(2), np.ones(2)))

@@ -117,12 +117,15 @@ class TestMalformedProblemFile:
         ({"operator": {"kind": "affine", "k": 3, "weights": [0.1, 0.2]}}, "'k'"),
         ({"operator": {"kind": "averaging", "k": 2.7}}, "'k'"),
         ({"operator": {"kind": "constant", "value": [0.1, 0.2]}}, "'value'"),
+        ({"solve": {"start": "random", "seed": 1.5}}, "field 'seed' must be an integer"),
+        ({"solve": {"start": "random", "seed": "3"}}, "field 'seed' must be an integer"),
     ], ids=[
         "space-box", "power-p", "custom-expr", "custom-b", "affine-weights", "constant-value",
         "dsl-exprs", "presic_sum-r", "ciric_max-kappa", "lambda_max-lambda", "weak_phi-phi",
         "kannan-a", "banach-eta", "diagonal_phi-phi", "phi-kind", "linear-c", "dsl-expr",
         "kappa-not-a-number", "p-not-a-number", "condition-list", "operator-string",
-        "k-not-the-weights-count", "k-not-an-integer", "value-not-the-space-dimension"])
+        "k-not-the-weights-count", "k-not-an-integer", "value-not-the-space-dimension",
+        "seed-not-an-integer", "seed-a-string"])
     def test_exits_two_naming_the_fault(self, tmp_path, capsys, blocks, named):
         code, out = run_cli("verify", _problem(tmp_path, **blocks))
         assert code == 2
@@ -423,3 +426,44 @@ class TestLibraryErrorExitCodes:
         monkeypatch.setenv("PRESIC_LAB_SEED", "abc")
         assert run_cli("verify", str(PROBLEMS / "averaging_k1.json")) == (2, "")
         assert capsys.readouterr().err == "error: PRESIC_LAB_SEED must be an integer\n"
+
+
+class TestNegativeSeed:
+    """A seed below 0 exits 2 with one `error:` line naming where it came
+    from, for every command that reads a seed; numpy's generators take none."""
+
+    COMMANDS = [("verify", "problem"), ("solve", "problem"), ("estimate-b", "problem"),
+                ("bounds", "problem", "--eta", "0.5"), ("demo", "paper-example-2-1-2")]
+
+    @staticmethod
+    def _argv(tmp_path, command, *rest):
+        path = _problem(tmp_path, solve={"start": "random"})
+        return [command, *(path if a == "problem" else a for a in rest)]
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=[c[0] for c in COMMANDS])
+    def test_option(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.delenv("PRESIC_LAB_SEED", raising=False)
+        assert run_cli(*self._argv(tmp_path, *argv), "--seed", "-1") == (2, "")
+        assert capsys.readouterr().err == "error: --seed must be an integer >= 0, got -1\n"
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=[c[0] for c in COMMANDS])
+    def test_environment_variable(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.setenv("PRESIC_LAB_SEED", "-1")
+        assert run_cli(*self._argv(tmp_path, *argv)) == (2, "")
+        assert capsys.readouterr().err == ("error: PRESIC_LAB_SEED must be an integer >= 0, "
+                                           "got -1\n")
+
+    @pytest.mark.parametrize("argv", [("solve",), ("bounds", "--eta", "0.5")],
+                             ids=["solve", "bounds"])
+    def test_problem_file(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.delenv("PRESIC_LAB_SEED", raising=False)
+        path = _problem(tmp_path, solve={"start": "random", "seed": -1})
+        assert run_cli(argv[0], path, *argv[1:]) == (2, "")
+        assert capsys.readouterr().err == "error: solve.seed must be an integer >= 0, got -1\n"
+
+    def test_an_integral_float_file_seed_is_that_integer(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("PRESIC_LAB_SEED", raising=False)
+        _, out = run_cli("solve", _problem(tmp_path, solve={"start": "random", "seed": 4.0}))
+        _, pinned = run_cli("solve", _problem(tmp_path, solve={"start": "random"}), "--seed", "4")
+        assert json.loads(out)["seed"] == 4
+        assert strip_timestamp(out) == strip_timestamp(pinned)

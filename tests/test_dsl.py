@@ -360,6 +360,11 @@ class TestClosuresMatchTheWalker:
         assert parse("x1+x2", ["x1", "x2"]) != parse("x1 + x2", ["x1", "x2"])
         assert parse("x1", ["x1"]) != parse("x1", ["x1", "x2"])
 
+    def test_an_expression_is_not_equal_to_its_source(self):
+        # __eq__ returns NotImplemented, so == falls back to identity
+        assert (parse("x1", ["x1"]) == "x1") is False
+        assert parse("x1", ["x1"]) != "x1"
+
 
 def test_dsl_objects_pickle_to_equal_objects_with_identical_outputs():
     op = from_dsl("min(x1, x2)/2 + x1*x2/8", k=2)

@@ -4,12 +4,16 @@ The golden file holds one digest per named result: `verify` for every
 condition kind x metric kind x operator kind, on random samples and on a
 small grid; `estimate_constant` for its three kinds; `estimate_b` and
 `check_axioms` for each metric; `iterate`, `picard` and `iterate_many`
-traces for each operator x metric; `presic_bounds` at several (eta, k); and
-`kannan_report`. A call that raises a PresicLabError is recorded by its
-exception type and message. A few results are also kept whole, under
-"payloads", so that a mismatch there reads as a diff. The header names the
-numpy version and the platform that wrote the file. Run this file as a
-script to rewrite it from the package on the import path:
+traces for each operator x metric; `presic_bounds` at several (eta, k);
+`kannan_report`; and `iterate` and `iterate_many` runs that meet an
+overflow, an invalid value or an underflow mid-run, under numpy's error
+modes "warn", "raise" and "call", each with the warnings or callback calls
+numpy gave, in order. A call that raises a PresicLabError, or a
+FloatingPointError under "raise", is recorded by its exception type and
+message. A few results are also kept whole, under "payloads", so that a
+mismatch there reads as a diff. The header names the numpy version and the
+platform that wrote the file. Run this file as a script to rewrite it from
+the package on the import path:
 
     PYTHONPATH=src python tests/test_golden_digests.py
 """
@@ -17,6 +21,7 @@ script to rewrite it from the package on the import path:
 import dataclasses
 import hashlib
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +34,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden" / "digests.json"
 # the results kept whole beside their digests
 PAYLOADS = ("verify/presic_sum/power/affine/random", "verify/weak_phi/squared_euclidean/dsl/grid",
             "check_axioms/lp_truncated/random", "iterate/affine/custom_dsl",
-            "presic_bounds/eta=0.75/k=2", "kannan_report/affine/a=0.2")
+            "presic_bounds/eta=0.75/k=2", "kannan_report/affine/a=0.2",
+            "iterate/errstate=warn/invalid")
 
 BOX = bmetric.Box(np.array([-1.0, 0.0]), np.array([2.0, 1.5]))
 METRICS = {"euclidean": bmetric.euclidean(BOX),
@@ -117,6 +123,43 @@ def _cases():
         yield (f"kannan_report/{oname}/a={a}",
                lambda o=op, s=space, a=a: solver.kannan_report(
                    solver.picard(o, s, [1.0]), s, a, o.arity))
+    # runs that meet a floating-point condition mid-run: r squared overflows
+    # at x1 = 0.0625, which the runs from 1 and 0.5 reach inside a block and
+    # those from 0.75 and 2 never reach; the square of the last step, 1e-160,
+    # underflows
+    r = "(1e100/(x1 - 0.0625 + 1e-200))"
+    wide = bmetric.Box(np.array([-1.0]), np.array([2.0]))
+    for cname, op, space, starts, stop in (
+            ("overflow", operators.from_dsl(f"x1/2 + 1/(1 + {r}*{r})", 1),
+             bmetric.euclidean(wide), [1.0, 0.5, 2.0], solver.StopRule()),
+            ("invalid", operators.from_dsl(f"x1/2 + ({r}*{r} - {r}*{r})", 1),
+             bmetric.euclidean(wide), [1.0, 0.5, 0.75], solver.StopRule()),
+            ("underflow", operators.affine([1e-10]), bmetric.squared_euclidean(wide),
+             [1.0, 0.5, -1.0], solver.StopRule(residual_tol=1e-310, step_tol=1e-310))):
+        for mode in ("warn", "raise", "call"):
+            yield (f"iterate/errstate={mode}/{cname}",
+                   lambda o=op, s=space, x=starts, t=stop, m=mode: _under(
+                       m, lambda: solver.iterate(o, s, x[:1], t)))
+            yield (f"iterate_many/errstate={mode}/{cname}",
+                   lambda o=op, s=space, x=starts, t=stop, m=mode: _under(
+                       m, lambda: solver.iterate_many(o, s, np.reshape(x, (-1, 1, 1)), t)))
+
+
+def _under(mode, call):
+    """What `call()` returns or raises under np.errstate(all=mode), with each
+    warning or callback call numpy gave, in order. Warnings are recorded, not
+    filtered, so that pytest's filterwarnings = error and a script run see
+    the same ones."""
+    calls = []
+    with warnings.catch_warnings(record=True) as caught, np.errstate(
+            all=mode, call=lambda condition, flag: calls.append(["call", condition, flag])):
+        warnings.simplefilter("always")
+        try:
+            result = call()
+        except (PresicLabError, FloatingPointError) as exc:
+            result = {"raises": type(exc).__name__, "message": str(exc)}
+    events = [["warn", w.category.__name__, str(w.message)] for w in caught] + calls
+    return {"result": result, "events": events}
 
 
 def _bounds(trace, eta, k):

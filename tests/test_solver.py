@@ -872,6 +872,16 @@ class TestLoopChecks:
             with pytest.raises(NumericEvalError, match=r"squared_euclidean distance alpha_1$"):
                 picard(constant([1e200], k=2), huge, [0.0])
 
+    def test_a_seed_distance_error_without_a_row_names_no_run(self):
+        # a literal zero divisor fails on the expression, not on a row, so
+        # the error has no row to turn into a run and is raised as it is
+        space = custom("abs(u1 - v1) / 0", Box([0.0], [1.0]), b=1)
+        for call in (lambda: iterate(averaging(2), space, [0.5, 0.25]),
+                     lambda: iterate_many(averaging(2), space, np.full((3, 2, 1), 0.5))):
+            with pytest.raises(NumericEvalError) as info:
+                call()
+            assert str(info.value) == "division by zero" and info.value.row is None
+
     def test_cap_fires_at_max_iterations(self, eu_space):
         for max_iterations in (2, 3, 50, 1e2):
             trace = iterate(affine([0.999, 0.0005]), eu_space, [1.0, 0.5],
