@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import dsl
-from .errors import DegenerateDomainError, UsageError, _renumber, require_finite
+from .errors import DegenerateDomainError, UsageError, _renumber, as_int, require_finite
 
 # Scale-aware slack: L <= R is judged violated when L > R + TOL_REL*(1+|R|).
 TOL_REL = 1e-9
@@ -280,6 +280,9 @@ def _sample_windows(space, width, samples, seed, grid_points=None, budget=2_000_
     Windows are uniform in the box; with grid_points they are the full grid
     of grid_points values per axis when it has at most `budget` windows,
     else `samples` windows drawn from that grid; a sample of none is a UsageError.
+    grid_points, the samples that are drawn and a seed other than None must
+    be integers (`errors.as_int`), the seed one >= 0; only a draw builds a
+    Generator.
 
     Each chunk is coordinate-major: a C-contiguous (width, m, N) array seen
     through `transpose(2, 0, 1)`. A slot `windows[:, j]` or one coordinate
@@ -287,13 +290,15 @@ def _sample_windows(space, width, samples, seed, grid_points=None, budget=2_000_
     that layout in the images and distances, so their inner loops run over
     N, not over m.
     """
-    if grid_points is not None and grid_points < 1:
+    if grid_points is not None and as_int(grid_points, "grid_points") < 1:
         raise UsageError(f"grid_points must be >= 1, got {grid_points}")
+    grid_points = None if grid_points is None else int(grid_points)  # 2.0 counts as 2
+    seed = None if seed is None else as_int(seed, "seed", 0)
     box, m = space.domain, space.dimension
-    rng = np.random.default_rng(seed)
     axes = None if grid_points is None else np.linspace(box.lo, box.hi, grid_points)
     full = grid_points is not None and grid_points ** (width * m) <= budget
-    total = grid_points ** (width * m) if full else samples
+    total = grid_points ** (width * m) if full else as_int(samples, "samples")
+    rng = None if full else np.random.default_rng(seed)  # a full grid draws nothing
     if total < 1:
         raise UsageError(f"samples must be >= 1 when no full grid is checked, got {samples}")
     for start in range(0, total, CHUNK):

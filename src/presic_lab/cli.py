@@ -20,7 +20,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import bmetric, contraction, operators, problem as problem_mod, solver
-from .errors import PresicLabError, UsageError
+from .errors import PresicLabError, UsageError, as_int
 
 
 def _write(text, args):
@@ -47,12 +47,9 @@ def _seed(args, prob=None):
     else:
         return 0
     try:
-        seed = int(seed)  # a string only from the environment
+        return as_int(int(seed), source, 0)  # int() reads the environment's string
     except ValueError:
         raise UsageError(f"{source} must be an integer") from None
-    if seed < 0:
-        raise UsageError(f"{source} must be an integer >= 0, got {seed}")
-    return seed
 
 
 def _grid_points(args):

@@ -35,8 +35,7 @@ from . import dsl
 # re-exports CHUNK, and _sample_windows, whose budget default is verify's
 from .bmetric import CHUNK, TOL_REL, ValueEq, _sample_windows, fold, max_ratio, payload, sampled
 from .errors import (DegenerateDomainError, DomainError, NumericEvalError, UsageError,
-                     _renumber, require_finite)
-from .operators import as_int
+                     _renumber, as_int, require_finite)
 
 # kind -> the ConditionSpec field that holds its constant (diagonal_strict has none)
 FIELDS = {"presic_sum": "r", "ciric_max": "kappa", "lambda_max": "lam", "weak_phi": "phi",
@@ -136,8 +135,8 @@ class ConditionSpec:
         and the arity k, when given, an integer >= 1."""
         if self.kind not in FIELDS:
             raise UsageError(f"unknown condition kind {self.kind!r}")
-        if k is not None and (as_int(k) is None or k < 1):
-            raise UsageError(f"k must be an integer >= 1, got {k!r}")
+        if k is not None:
+            as_int(k, "k", 1)
         field = FIELDS[self.kind]
         value = None if field is None else getattr(self, field)
         if field is not None and value is None:
@@ -345,8 +344,9 @@ def verify(op, space, cond, samples, seed, grid_points=None, strict_domain=False
     if count == 0:
         raise DegenerateDomainError("no sampled pair has x != y")
     verdict = "passed_on_samples" if witness is None else "falsified"
-    return ContractionCertificate(cond, count, seed, verdict, float(slack_min), witness=witness,
-                                  out_of_domain=out_of_domain)
+    # sampling has checked the seed: the certificate records it as an int
+    return ContractionCertificate(cond, count, None if seed is None else int(seed), verdict,
+                                  float(slack_min), witness=witness, out_of_domain=out_of_domain)
 
 
 verify_diagonal = verify  # one check for every kind

@@ -1,6 +1,7 @@
-"""Exception hierarchy shared across the package, and the rules for which
-batch row a NumericEvalError names."""
+"""Exception hierarchy shared across the package, the rule for integer
+inputs, and the rules for which batch row a NumericEvalError names."""
 
+import numbers
 from contextlib import contextmanager
 
 import numpy as np
@@ -29,6 +30,16 @@ class DomainError(PresicLabError):
 
 class DegenerateDomainError(PresicLabError):
     """Every sampled configuration was degenerate (e.g. the box is a single point)."""
+
+
+def as_int(value, what, least=None):
+    """`value` as an int if it is an integer or an integral float (no bool)
+    of at least `least`, else a UsageError naming `what`."""
+    whole = isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer()
+    if whole and not isinstance(value, bool) and (least is None or value >= least):
+        return int(value)
+    raise UsageError(f"{what} must be an integer{'' if least is None else f' >= {least}'}, "
+                     f"got {value!r}")
 
 
 def _fail(message, bad):

@@ -18,7 +18,6 @@ distance d(u, f(u,..,u)) in a given space.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -26,7 +25,7 @@ import numpy as np
 
 from . import dsl
 from .bmetric import ValueEq, fold
-from .errors import NumericEvalError, UsageError
+from .errors import NumericEvalError, UsageError, as_int
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,10 +41,8 @@ class PresicOperator(ValueEq):
     def __post_init__(self):
         if self.kind not in KERNELS:
             raise UsageError(f"unknown operator kind {self.kind!r}")
-        arity = as_int(self.arity)
-        if arity is None or arity < 1:
-            raise UsageError(f"operator arity must be an integer >= 1, got {self.arity!r}")
-        object.__setattr__(self, "arity", arity)  # window shapes must be ints
+        # window shapes must be ints
+        object.__setattr__(self, "arity", as_int(self.arity, "operator arity", 1))
         if self.dimension < 1:
             raise UsageError("operator dimension must be >= 1")
 
@@ -113,12 +110,6 @@ KERNELS = {"averaging": _averaging, "affine": _affine, "constant": _affine, "dsl
            "diagonal": _diagonal}
 
 
-def as_int(value):
-    """`value` as an int if it is an integer or an integral float (no bool), else None."""
-    whole = isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer()
-    return int(value) if whole and not isinstance(value, bool) else None
-
-
 def check_finite(out):
     """Return `out`, raising NumericEvalError at the first non-finite entry."""
     if not np.isfinite(out).all():
@@ -152,7 +143,7 @@ def from_dsl(exprs, k, dimension=None):
     dimension = dimension if dimension is not None else len(exprs)
     if len(exprs) != dimension:
         raise UsageError("need one expression per output coordinate")
-    names = dsl.operator_variables(k)
+    names = dsl.operator_variables(as_int(k, "operator arity", 1))
     compiled = tuple(dsl.parse(src, names) for src in exprs)
     return PresicOperator("dsl", k, dimension, exprs=compiled)
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bmetric, contraction, operators, solver
-from .errors import UsageError
+from .errors import UsageError, as_int
 
 
 @dataclass(eq=False)  # `==` is identity: no caller compares problems
@@ -57,9 +57,7 @@ OPERATORS = {
 
 
 def _load_operator(cfg, m):
-    k = operators.as_int(cfg.get("k", 1))
-    if k is None:
-        raise UsageError(f"operator block field 'k' must be an integer, got {cfg['k']!r}")
+    k = as_int(cfg.get("k", 1), "operator block field 'k'")
     op = _build(OPERATORS, "operator", cfg, k, m)
     if "k" in cfg and op.arity != k:  # affine takes its arity from its weights
         raise UsageError(f"operator block field 'k' is {k}, "
@@ -92,11 +90,8 @@ def _load_solve(cfg, op):
     start = cfg.get("start", "random")
     stop = {key: value for key, value in cfg.get("stop", {}).items()
             if key in solver.StopRule.__dataclass_fields__}  # other keys are ignored
-    seed = operators.as_int(cfg.get("seed", 0))
-    if seed is None:
-        raise UsageError(f"solve block field 'seed' must be an integer, got {cfg['seed']!r}")
-    return {"start": start if start == "random" else solver._seed_window(op, start),
-            "seed": seed if "seed" in cfg else None,
+    return {"seed": as_int(cfg["seed"], "solve block field 'seed'") if "seed" in cfg else None,
+            "start": start if start == "random" else solver._seed_window(op, start),
             "stop": solver.StopRule(**stop)}  # which checks the values' types and ranges
 
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import bmetric, contraction, operators
 from .bmetric import ValueEq, leq_tol, payload
-from .errors import DomainError, NumericEvalError, UsageError, _renumber, require_finite
+from .errors import DomainError, NumericEvalError, UsageError, _renumber, as_int, require_finite
 
 DIVERGENCE_FACTOR = 1e12
 _INITIAL_CAPACITY = 256  # points a run's buffers hold before their first doubling
@@ -51,9 +51,7 @@ class StopRule:
             # `not tol > 0` also holds for NaN, which no step would ever meet
             if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not tol > 0:
                 raise UsageError(f"{name} must be a positive number, got {tol!r}")
-        cap = operators.as_int(self.max_iterations)
-        if cap is None:
-            raise UsageError(f"max_iterations must be an integer, got {self.max_iterations!r}")
+        cap = as_int(self.max_iterations, "max_iterations")
         object.__setattr__(self, "max_iterations", cap)  # buffer sizes must be ints
         if cap < 2:
             raise UsageError("max_iterations too small")
@@ -433,6 +431,7 @@ def estimate_rate(trace):
 
 def cauchy_profile(trace, space, P):
     """s_n = max_{1<=p<=P} d(x_n, x_{n+p}) for every n with n+P in range."""
+    P = as_int(P, "P")
     if P < 1:
         raise UsageError("P must be >= 1")
     pts = np.asarray(trace.points, dtype=float)

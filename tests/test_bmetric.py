@@ -1,5 +1,9 @@
+import os
 import pickle
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -594,3 +598,29 @@ def test_input_checks(call, message):
     with pytest.raises(UsageError) as info:
         call()
     assert str(info.value) == message
+
+
+# Full grids of estimate_b, verify and check_axioms after the CLI's imports,
+# then one random draw; prints whether numpy.random was imported after each
+GENERATOR_PROBE = """
+import sys
+import numpy as np
+import presic_lab.cli
+from presic_lab import Box, banach, averaging, check_axioms, estimate_b, euclidean, verify
+space = euclidean(Box(np.zeros(1), np.ones(1)))
+estimate_b(space, 0, 0, grid_points=5)
+verify(averaging(1), space, banach(0.6), 0, 0, grid_points=5)
+check_axioms(space, 0, 0, grid_points=5)
+print("numpy.random" in sys.modules)
+verify(averaging(1), space, banach(0.6), 10, 0)
+print("numpy.random" in sys.modules)
+"""
+
+
+def test_a_full_grid_builds_no_generator():
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    probe = subprocess.run([sys.executable, "-c", GENERATOR_PROBE], capture_output=True,
+                           text=True, env=dict(os.environ, PYTHONPATH=path), timeout=60)
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.split() == ["False", "True"]

@@ -8,6 +8,7 @@ from functools import partial
 from hypothesis import given, settings, strategies as st
 
 from presic_lab import (
+    BMetricSpace,
     Box,
     DegenerateDomainError,
     DomainError,
@@ -38,7 +39,7 @@ from presic_lab import (
     verify_diagonal,
     weak_phi,
 )
-from presic_lab import problem
+from presic_lab import bmetric, problem
 from presic_lab.bmetric import TOL_REL, _sample_windows
 from presic_lab.contraction import (
     CHUNK,
@@ -656,6 +657,39 @@ class TestChunkedMatchesReference:
                 match = rf"non-finite result in squared_euclidean distance \(row {row}\)"
                 with pytest.raises(NumericEvalError, match=match):
                     estimate_constant(op, space, cond.kind, samples, 21, **grid)
+
+
+def _chunk_results(n, points):
+    """Each sampled check, on n random windows, a full grid of `points` per
+    axis and n windows drawn from a grid, as plain data. The drawn grids
+    have 40 points per axis: banach's 40^4 pairs exceed the budget too."""
+    op, eu1 = affine([0.5, -0.3]), euclidean(Box(np.full(1, -1.0), np.ones(1)))
+    op2 = affine([0.5, -0.3], offset=[0.1, -0.2], dimension=2)
+    eu2 = euclidean(Box(np.full(2, -1.0), np.ones(2)))
+    # declared b = 1 under the true b = 2, so b3 has violations whose order counts
+    sq = BMetricSpace("squared_euclidean", Box(np.zeros(1), np.full(1, 2.0)), 1.0)
+    out = {}
+    for cond in (ciric_max(0.7), kannan(0.1), banach(0.6)):
+        out[cond.kind] = [verify(op, eu1, cond, n, 3).to_dict(),
+                          verify(op, eu1, cond, 0, 4, grid_points=points).to_dict(),
+                          verify(op2, eu2, cond, n, 5, grid_points=40).to_dict()]
+    est = estimate_constant(op2, eu2, "ciric_max", n, 6, grid_points=40)
+    out["estimate_constant"] = [est["constant_hat"], est["witness"].to_dict()]
+    out["estimate_b"] = [(got["b_hat"], np.asarray(got["witness"]).tolist())
+                         for got in (estimate_b(eu2, n, 7), estimate_b(eu2, n, 8, grid_points=40))]
+    out["check_axioms"] = check_axioms(sq, n, 9)
+    return out
+
+
+# chunk, n, points: over the default CHUNK, n and a full grid of points^3
+# windows span two chunks; at 8 they span dozens, in less time
+@pytest.mark.parametrize("chunk, n, points", [(8, 301, 7), (1000, CHUNK + 9, 21),
+                                              (8191, CHUNK + 9, 21), (30000, CHUNK + 9, 21)])
+def test_no_result_depends_on_the_chunk_size(monkeypatch, chunk, n, points):
+    # below 8, the random path's block of draws, CHUNK // 8, would be empty
+    want = _chunk_results(n, points)
+    monkeypatch.setattr(bmetric, "CHUNK", chunk)
+    assert _chunk_results(n, points) == want
 
 
 def _is_coordinate_major(a):

@@ -1,0 +1,119 @@
+"""errors.as_int, the one rule for integer inputs, at every site that reads one."""
+
+import json
+
+import numpy as np
+import pytest
+
+from presic_lab import (
+    Box,
+    StopRule,
+    UsageError,
+    averaging,
+    banach,
+    cauchy_profile,
+    check_axioms,
+    ciric_max,
+    estimate_b,
+    estimate_constant,
+    euclidean,
+    from_dsl,
+    iterate,
+    verify,
+)
+from presic_lab import problem
+from presic_lab.errors import as_int
+
+SPACE = euclidean(Box(np.zeros(1), np.full(1, 2.0)))
+TRACE = iterate(averaging(1), SPACE, [2.0], StopRule(max_iterations=12))
+# 2000^3 triples are over estimate_b's budget, so its windows are drawn from the grid
+BIG_GRID = 2000
+
+# site -> (call(value), what the message names, least): each call reads
+# `value` through as_int; a seed site runs on random draws or a full grid
+SITES = {
+    "operator-arity": (lambda v: averaging(v).arity, "operator arity", 1),
+    "from-dsl-arity": (lambda v: from_dsl("x1", v).arity, "operator arity", 1),
+    "condition-k": (lambda v: ciric_max(0.5).validate(k=v), "k", 1),
+    "operator-block-k": (lambda v: problem._load_operator({"kind": "averaging", "k": v}, 1).arity,
+                         "operator block field 'k'", None),
+    "solve-block-seed": (lambda v: problem._load_solve({"seed": v}, averaging(1))["seed"],
+                         "solve block field 'seed'", None),
+    "max-iterations": (lambda v: StopRule(max_iterations=v).max_iterations, "max_iterations",
+                       None),
+    "verify-seed": (lambda v: verify(averaging(1), SPACE, ciric_max(0.6), 50, v).to_dict(),
+                    "seed", 0),
+    "verify-grid-seed": (lambda v: verify(averaging(1), SPACE, banach(0.6), 0, v,
+                                          grid_points=5).to_dict(), "seed", 0),
+    "estimate-constant-seed": (lambda v: estimate_constant(averaging(1), SPACE, "ciric_max", 50,
+                                                           v)["constant_hat"], "seed", 0),
+    "estimate-constant-grid-seed": (lambda v: estimate_constant(averaging(1), SPACE, "banach", 0,
+                                                                v, grid_points=5)["constant_hat"],
+                                    "seed", 0),
+    "estimate-b-seed": (lambda v: estimate_b(SPACE, 50, v)["b_hat"], "seed", 0),
+    "estimate-b-grid-seed": (lambda v: estimate_b(SPACE, 0, v, grid_points=5)["b_hat"], "seed", 0),
+    "check-axioms-seed": (lambda v: check_axioms(SPACE, 50, v), "seed", 0),
+    "check-axioms-grid-seed": (lambda v: check_axioms(SPACE, 0, v, grid_points=5), "seed", 0),
+    "samples": (lambda v: verify(averaging(1), SPACE, ciric_max(0.6), v, 0).to_dict(), "samples",
+                None),
+    "grid-samples": (lambda v: estimate_b(SPACE, v, 0, grid_points=BIG_GRID)["b_hat"], "samples",
+                     None),
+    "grid-points": (lambda v: verify(averaging(1), SPACE, ciric_max(0.6), 0, 0,
+                                     grid_points=v).to_dict(), "grid_points", None),
+    "profile-window": (lambda v: cauchy_profile(TRACE, SPACE, v).tolist(), "P", None),
+}
+
+
+def _rejected(site):
+    """The values `site` must reject: never an integer, and one below its least."""
+    least = SITES[site][2]
+    return [2.5, 1.5, True, "3"] + ([] if least is None else [least - 1])
+
+
+@pytest.mark.parametrize("site, value", [(site, value) for site in SITES
+                                         for value in _rejected(site)])
+def test_a_site_rejects_a_value_that_is_no_integer_in_range(site, value):
+    call, what, least = SITES[site]
+    with pytest.raises(UsageError) as info:
+        call(value)
+    bound = "" if least is None else f" >= {least}"
+    assert str(info.value) == f"{what} must be an integer{bound}, got {value!r}"
+
+
+@pytest.mark.parametrize("value", [2.0, np.int64(2), np.float64(2.0)], ids=repr)
+@pytest.mark.parametrize("site", SITES)
+def test_a_site_reads_an_integral_value_as_that_int(site, value):
+    call = SITES[site][0]
+    assert call(value) == call(2)
+
+
+def test_a_seed_the_certificate_records_is_an_int():
+    cert = verify(averaging(1), SPACE, ciric_max(0.6), 50, np.int64(3))
+    assert type(cert.seed) is int
+    assert json.loads(json.dumps(cert.to_dict()))["seed"] == 3
+    assert cert.to_dict() == verify(averaging(1), SPACE, ciric_max(0.6), 50, 3).to_dict()
+
+
+def test_a_seed_of_none_still_draws_fresh_windows():
+    assert verify(averaging(1), SPACE, ciric_max(0.6), 50, None).seed is None
+
+
+@pytest.mark.parametrize("value, expected", [(3, 3), (np.int64(3), 3), (3.0, 3),
+                                             (np.float64(-4.0), -4)], ids=repr)
+def test_as_int_returns_a_python_int(value, expected):
+    got = as_int(value, "n")
+    assert type(got) is int and got == expected
+
+
+@pytest.mark.parametrize("value", [np.bool_(True), False, float("nan"), float("inf"), None,
+                                   [2], np.array([2])], ids=repr)
+def test_as_int_rejects_what_is_no_integer(value):
+    with pytest.raises(UsageError, match=r"^n must be an integer, got "):
+        as_int(value, "n")
+
+
+def test_as_int_takes_least_itself_and_names_it():
+    assert as_int(0, "n", 0) == 0
+    with pytest.raises(UsageError) as info:
+        as_int(-1.0, "n", 0)
+    assert str(info.value) == "n must be an integer >= 0, got -1.0"
