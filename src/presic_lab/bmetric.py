@@ -177,8 +177,8 @@ class BMetricSpace(ValueEq):
     def __post_init__(self):
         if self.kind not in KERNELS:
             raise UsageError(f"unknown metric kind {self.kind!r}")
-        if self.b < 1.0:
-            raise UsageError("relaxation constant b must be >= 1")
+        if not 1.0 <= self.b < np.inf:  # NaN fails too
+            raise UsageError("relaxation constant b must be a finite number >= 1")
 
     @property
     def dimension(self):
@@ -248,8 +248,8 @@ def squared_euclidean(domain):
 
 def power(p, domain):
     """p-th power of the Euclidean metric, p > 1; b = 2^(p-1)."""
-    if p <= 1:
-        raise UsageError("power construction requires p > 1")
+    if not 1 < p < np.inf:  # NaN fails too
+        raise UsageError("power construction requires a finite p > 1")
     return BMetricSpace("power", domain, b=2.0 ** (p - 1.0), p=float(p))
 
 
@@ -305,8 +305,9 @@ def _sample_windows(space, width, samples, seed, grid_points=None, budget=2_000_
         count = min(CHUNK, total - start)
         if grid_points is None:  # the stream of box.sample(rng, count * width)
             windows = np.empty((width, m, count))
-            for b in range(0, count, CHUNK // 8):  # in blocks: no whole raw draw is held
-                n = min(count - b, CHUNK // 8)
+            block = max(1, CHUNK // 8)  # in blocks: no whole raw draw is held
+            for b in range(0, count, block):
+                n = min(count - b, block)
                 windows[..., b:b + n] = rng.random((n, width, m)).transpose(1, 2, 0)
             windows *= (box.hi - box.lo)[:, None]
             windows += box.lo[:, None]

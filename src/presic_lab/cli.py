@@ -165,7 +165,8 @@ def _demo_bmetric_constants(args):
     rows = []
     for label, space, samples, grid_points, lo, hi, detail in checks:
         b_hat = bmetric.estimate_b(space, samples, _seed(args), grid_points=grid_points)["b_hat"]
-        rows.append(_check(label, lo <= b_hat <= hi + 1e-9, f"b_hat = {b_hat:.6f}{detail}"))
+        rows.append(_check(label, lo <= b_hat and bmetric.leq_tol(b_hat, hi),
+                           f"b_hat = {b_hat:.6f}{detail}"))
     return rows
 
 
@@ -246,7 +247,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (UsageError, FileNotFoundError) as exc:
+    except (UsageError, OSError) as exc:  # OSError: a path that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PresicLabError as exc:

@@ -60,7 +60,12 @@ class PhiFunction:
             raise UsageError(f"unknown gauge kind {self.kind!r}")
         if self.kind == "linear" and not 0 < self.c < 1:
             raise UsageError("linear gauge needs 0 < c < 1")
-        if not np.isclose(self(0.0), 0.0, atol=1e-15):
+        try:
+            zero = self(0.0)
+        except NumericEvalError as exc:  # phi(0) undefined, as for 1/t
+            raise UsageError("gauge must satisfy phi(0) = 0, "
+                             f"but phi(0) is undefined: {exc}") from None
+        if not np.isclose(zero, 0.0, atol=1e-15):
             raise UsageError("gauge must satisfy phi(0) = 0")
 
     def __call__(self, t):
@@ -148,7 +153,7 @@ class ConditionSpec:
             if not (np.all(r >= 0) and r.sum() < 1):  # a NaN r_j fails too
                 raise UsageError("presic_sum needs r_j >= 0 and sum r_j < 1")
         elif field == "a":
-            if value < 0:
+            if not 0 <= value < np.inf:  # NaN fails too
                 raise UsageError("kannan needs a >= 0")
             if k is not None and b is not None and not value * k * b ** (k + 1) < 1:
                 raise UsageError("kannan needs a*k*b^(k+1) < 1")

@@ -43,6 +43,7 @@ class PresicOperator(ValueEq):
             raise UsageError(f"unknown operator kind {self.kind!r}")
         # window shapes must be ints
         object.__setattr__(self, "arity", as_int(self.arity, "operator arity", 1))
+        object.__setattr__(self, "dimension", as_int(self.dimension, "operator dimension"))
         if self.dimension < 1:
             raise UsageError("operator dimension must be >= 1")
 
@@ -51,15 +52,22 @@ class PresicOperator(ValueEq):
         """F(x) = f(x,..,x) as an operator of arity 1."""
         return PresicOperator("diagonal", 1, self.dimension, base=self)
 
+    def window(self, points):
+        """`points` as a float (k, m) window of k points of dimension m. A
+        number or flat list also reads as k points when m = 1, and as the one
+        point when k = 1."""
+        w = np.asarray(points, dtype=float)
+        k, m = self.arity, self.dimension
+        if w.ndim < 2 and 1 in (k, m):
+            w = w.reshape((-1, 1) if m == 1 else (1, -1))
+        if w.shape != (k, m):
+            raise UsageError(f"start must supply {k} point(s) of dimension {m}, "
+                             f"got shape {w.shape}")
+        return w
+
     def apply(self, window):
-        """Evaluate f on a window of k points; returns one point."""
-        w = np.asarray(window, dtype=float)
-        if w.ndim == 1:
-            w = w[:, None]
-        if w.shape != (self.arity, self.dimension):
-            raise UsageError(
-                f"window shape {w.shape} does not match (k={self.arity}, m={self.dimension})")
-        return self.apply_batch(w[None, ...])[0]
+        """Evaluate f on a window of k points (any form `window` reads); returns one point."""
+        return self.apply_batch(self.window(window)[None])[0]
 
     def apply_batch(self, windows):
         """Evaluate f on (N, k, m) stacked windows; returns (N, m)."""
@@ -70,8 +78,7 @@ class PresicOperator(ValueEq):
 
     def diagonal_apply(self, x):
         """F(x) = f(x,..,x); identical to apply on the k-fold repeated window."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return self.apply(np.tile(x, (self.arity, 1)))
+        return self.diagonal.apply(x)
 
     def diagonal_batch(self, xs):
         """Vectorized diagonal map on (N, m) points."""

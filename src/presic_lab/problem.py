@@ -16,7 +16,7 @@ Schema::
                     KEYS): "r": [...] | "kappa": r | "lambda": r | "a": r |
                     "eta": r | "phi": {"kind": "linear"|"paper_piecewise"|"dsl",
                                        "c": r, "expr": "..."}},
-      "solve": {"start": <k points, as solver.iterate takes them> | "random",
+      "solve": {"start": <k points, as PresicOperator.window reads them> | "random",
                 "seed": <int >= 0, optional>,
                 "stop": {"residual_tol": r, "step_tol": r, "max_iterations": n}}
     }
@@ -25,7 +25,7 @@ Schema::
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -80,10 +80,7 @@ def _load_space(cfg):
     if cfg.get("dim") is not None and cfg["dim"] != box.dimension:
         raise UsageError("space dim does not match box dimension")
     space = _build(SPACES, "space", cfg, box)
-    if "b" in cfg:
-        space = bmetric.BMetricSpace(space.kind, space.domain, float(cfg["b"]),
-                                     p=space.p, expr=space.expr)
-    return space
+    return replace(space, b=float(cfg["b"])) if "b" in cfg else space
 
 
 def _load_solve(cfg, op):
@@ -91,7 +88,7 @@ def _load_solve(cfg, op):
     stop = {key: value for key, value in cfg.get("stop", {}).items()
             if key in solver.StopRule.__dataclass_fields__}  # other keys are ignored
     return {"seed": as_int(cfg["seed"], "solve block field 'seed'") if "seed" in cfg else None,
-            "start": start if start == "random" else solver._seed_window(op, start),
+            "start": start if start == "random" else op.window(start),
             "stop": solver.StopRule(**stop)}  # which checks the values' types and ranges
 
 
@@ -103,12 +100,13 @@ BLOCKS = {"space": lambda cfg, got: _load_space(cfg),
 
 
 def loads(text):
-    """Parse a problem from JSON text. A block with a missing field, a value
-    of the wrong type, or one that is not an object is a UsageError naming
-    the block and the field or value."""
+    """Parse a problem from JSON text, a str or bytes. Text that does not
+    decode or parse is a UsageError, as is a block with a missing field, a
+    value of the wrong type, or one that is not an object, naming the block
+    and the field or value."""
     try:
         cfg = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError or UnicodeDecodeError
         raise UsageError(f"malformed problem file: {exc}") from None
     if not isinstance(cfg, dict) or "space" not in cfg or "operator" not in cfg:
         raise UsageError("problem file needs 'space' and 'operator' blocks")
@@ -124,5 +122,5 @@ def loads(text):
 
 def load(path):
     """Load a problem file from disk."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:  # loads decodes, so a decode error is a UsageError
         return loads(fh.read())

@@ -305,29 +305,15 @@ def _trace(points, alphas, n, stop_reason, residual, out_of_domain):
     return trace
 
 
-def _seed_window(op, points):
-    """`points` as the float (k, m) seed window of one run of `op`. A number
-    or flat list also reads as k points when m = 1, and as the one point
-    when k = 1."""
-    arr = np.asarray(points, dtype=float)
-    k, m = op.arity, op.dimension
-    if arr.ndim < 2 and 1 in (k, m):
-        arr = arr.reshape((-1, 1) if m == 1 else (1, -1))
-    if arr.shape != (k, m):
-        raise UsageError(f"start must supply {k} point(s) of dimension {m}, "
-                         f"got shape {arr.shape}")
-    return arr
-
-
 def iterate(op, space, initial, stop=None, strict_domain=False):
     """Run the k-step scheme from k seed points."""
-    return _run(op, space, _seed_window(op, initial)[None], stop or StopRule(), strict_domain)[0]
+    return _run(op, space, op.window(initial)[None], stop or StopRule(), strict_domain)[0]
 
 
 def picard(op, space, x0, stop=None, strict_domain=False):
     """Iterate the diagonal map F(x) = f(x,..,x) from a single start."""
     op = op.diagonal
-    return _run(op, space, _seed_window(op, x0)[None], stop or StopRule(), strict_domain)[0]
+    return _run(op, space, op.window(x0)[None], stop or StopRule(), strict_domain)[0]
 
 
 def iterate_many(op, space, starts, stop=None, strict_domain=False):
@@ -389,7 +375,7 @@ def kannan_bounds(a, k, b, d01, n):
     Upper bound on d(x_n, x_m) for every m > n along the Picard scheme;
     requires what contraction.kannan(a).validate(k=k, b=b) checks.
     """
-    if d01 < 0 or n < 0:
+    if not (0 <= d01 < np.inf and n >= 0):  # NaN fails too
         raise UsageError("d01 and n must be nonnegative")
     contraction.kannan(a).validate(k=k, b=b)
     lam = a * k * b ** k

@@ -593,7 +593,14 @@ class TestNonFiniteDistances:
     (lambda: euclidean(Box(np.zeros(2), np.ones(2))).distance_batch(np.zeros((3, 1)),
                                                                   np.zeros((3, 1))),
      "dimension mismatch in distance"),
-], ids=["point-not-1d", "box-shapes-differ", "unknown-kind", "batch-dimension"])
+    (lambda: BMetricSpace("euclidean", Box([0.0], [1.0]), np.nan),
+     "relaxation constant b must be a finite number >= 1"),
+    (lambda: BMetricSpace("euclidean", Box([0.0], [1.0]), np.inf),
+     "relaxation constant b must be a finite number >= 1"),
+    (lambda: power(np.nan, Box([0.0], [1.0])), "power construction requires a finite p > 1"),
+    (lambda: power(np.inf, Box([0.0], [1.0])), "power construction requires a finite p > 1"),
+], ids=["point-not-1d", "box-shapes-differ", "unknown-kind", "batch-dimension", "b-nan",
+        "b-inf", "power-p-nan", "power-p-inf"])
 def test_input_checks(call, message):
     with pytest.raises(UsageError) as info:
         call()

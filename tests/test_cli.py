@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -132,6 +133,53 @@ class TestMalformedProblemFile:
         assert out == ""
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err
+
+
+def _assert_one_error_line(capsys, named):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and named in err
+    assert "Traceback" not in err
+
+
+class TestEveryInputFaultExitsTwo:
+    """A path that cannot be read or written, a file that is not UTF-8 and a
+    constant that is not finite exit 2, with nothing on stdout and one
+    `error:` line."""
+
+    def test_problem_path_is_a_directory(self, tmp_path, capsys):
+        assert run_cli("verify", str(tmp_path)) == (2, "")
+        _assert_one_error_line(capsys, "Is a directory")
+
+    def test_problem_file_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b"\xff" + Path(_problem(tmp_path)).read_bytes())
+        assert run_cli("verify", str(path)) == (2, "")
+        _assert_one_error_line(capsys, "malformed problem file: 'utf-8' codec can't decode")
+
+    def test_out_path_is_a_directory(self, tmp_path, capsys):
+        assert run_cli("estimate-b", _problem(tmp_path), "--out", str(tmp_path)) == (2, "")
+        _assert_one_error_line(capsys, "Is a directory")
+
+    @pytest.mark.parametrize("command, blocks, named", [
+        ("estimate-b", {"space": {"kind": "euclidean", "box": BOX, "b": math.inf}},
+         "relaxation constant b must be a finite number >= 1"),
+        ("verify", {"space": {"kind": "euclidean", "box": BOX, "b": math.nan}},
+         "relaxation constant b must be a finite number >= 1"),
+        ("verify", {"space": {"kind": "custom_dsl", "expr": "abs(u1 - v1)", "b": math.nan,
+                              "box": BOX}}, "relaxation constant b must be a finite number >= 1"),
+        ("verify", {"space": {"kind": "power", "p": math.inf, "box": BOX}},
+         "power construction requires a finite p > 1"),
+        ("verify", {"space": {"kind": "power", "p": math.nan, "box": BOX}},
+         "power construction requires a finite p > 1"),
+        ("verify", {"condition": {"kind": "kannan", "a": math.inf}}, "kannan needs"),
+        ("verify", {"condition": {"kind": "kannan", "a": math.nan}}, "kannan needs"),
+        ("verify", {"condition": {"kind": "weak_phi", "phi": {"kind": "dsl", "expr": "1/t"}}},
+         "gauge must satisfy phi(0) = 0, but phi(0) is undefined: division by zero"),
+    ], ids=["b-infinity", "b-nan", "custom-b-nan", "power-p-infinity", "power-p-nan",
+            "kannan-a-infinity", "kannan-a-nan", "gauge-undefined-at-zero"])
+    def test_constant_that_is_not_finite(self, tmp_path, capsys, command, blocks, named):
+        assert run_cli(command, _problem(tmp_path, **blocks)) == (2, "")
+        _assert_one_error_line(capsys, named)
 
 
 @pytest.mark.parametrize("command", ["verify", "estimate-b"])

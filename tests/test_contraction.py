@@ -682,11 +682,12 @@ def _chunk_results(n, points):
 
 
 # chunk, n, points: over the default CHUNK, n and a full grid of points^3
-# windows span two chunks; at 8 they span dozens, in less time
-@pytest.mark.parametrize("chunk, n, points", [(8, 301, 7), (1000, CHUNK + 9, 21),
-                                              (8191, CHUNK + 9, 21), (30000, CHUNK + 9, 21)])
+# windows span two chunks; at 8 or fewer they span dozens, in less time
+@pytest.mark.parametrize("chunk, n, points", [(1, 61, 5), (3, 61, 5), (8, 301, 7),
+                                              (1000, CHUNK + 9, 21), (8191, CHUNK + 9, 21),
+                                              (30000, CHUNK + 9, 21)])
 def test_no_result_depends_on_the_chunk_size(monkeypatch, chunk, n, points):
-    # below 8, the random path's block of draws, CHUNK // 8, would be empty
+    # below 8, the random path draws one window a block: CHUNK // 8 is 0 there
     want = _chunk_results(n, points)
     monkeypatch.setattr(bmetric, "CHUNK", chunk)
     assert _chunk_results(n, points) == want
@@ -970,7 +971,12 @@ def test_validate_rejects_a_nan_constant(spec):
     (lambda: PhiFunction("cubic"), "unknown gauge kind 'cubic'"),
     (lambda: piecewise_phi()(2.0 ** 62), "gauge argument too large for the piecewise bands"),
     (lambda: presic_sum([0.1, 0.2]).validate(k=3), "presic_sum needs one r_j per operator slot"),
-], ids=["unknown-gauge-kind", "past-the-piecewise-bands", "r-count-not-k"])
+    (lambda: kannan(float("nan")).validate(), "kannan needs a >= 0"),
+    (lambda: kannan(float("inf")).validate(), "kannan needs a >= 0"),
+    (lambda: dsl_phi("1/t"), "gauge must satisfy phi(0) = 0, but phi(0) is undefined: "
+                             "division by zero"),
+], ids=["unknown-gauge-kind", "past-the-piecewise-bands", "r-count-not-k", "kannan-a-nan",
+        "kannan-a-inf", "gauge-undefined-at-zero"])
 def test_input_checks(call, message):
     with pytest.raises(UsageError) as info:
         call()

@@ -34,6 +34,7 @@ BIG_GRID = 2000
 SITES = {
     "operator-arity": (lambda v: averaging(v).arity, "operator arity", 1),
     "from-dsl-arity": (lambda v: from_dsl("x1", v).arity, "operator arity", 1),
+    "operator-dimension": (lambda v: averaging(1, v).dimension, "operator dimension", None),
     "condition-k": (lambda v: ciric_max(0.5).validate(k=v), "k", 1),
     "operator-block-k": (lambda v: problem._load_operator({"kind": "averaging", "k": v}, 1).arity,
                          "operator block field 'k'", None),

@@ -42,12 +42,21 @@ def _argvs():
             + [["demo", name] for name in cli.DEMO_NAMES])
 
 
+def _not_json(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
 def _run(argv):
-    """One in-process CLI call, run from the repository root."""
+    """One in-process CLI call, run from the repository root. A JSON stdout
+    must parse without NaN or Infinity, and no stderr may hold a traceback,
+    so neither the test nor a rewrite of the golden file can pin either."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
     stdout = re.sub(r'"timestamp": "[^"]*"', '"timestamp": null', out.getvalue())
+    if stdout and argv[0] != "demo" and "csv" not in argv:
+        json.loads(stdout, parse_constant=_not_json)
+    assert "Traceback" not in err.getvalue(), " ".join(argv)
     return {"argv": argv, "exit": code, "stdout": stdout, "stderr": err.getvalue()}
 
 

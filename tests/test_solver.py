@@ -312,9 +312,9 @@ class TestExactBoundOracles:
         assert got["holds"] == _exact_within([got["lhs"]], [rhs])
 
 
-# (k, m, start, whether it is a seed window of averaging(k, m)): a nested
-# list of k points, or a number or flat list read as k numbers when m = 1
-# and as the one point when k = 1
+# (k, m, start, whether it is a window of averaging(k, m)): a nested list
+# of k points, or a number or flat list read as k numbers when m = 1 and
+# as the one point when k = 1
 START_FORMS = [
     (1, 1, [[2.0]], True), (1, 1, [2.0], True), (1, 1, 2.0, True),
     (2, 1, [[1.0], [2.0]], True), (2, 1, [1.0, 2.0], True),
@@ -323,7 +323,11 @@ START_FORMS = [
     (2, 1, [1.0], False), (2, 1, 1.0, False), (2, 1, [[1.0, 2.0]], False),
     (1, 2, [0.5], False), (1, 2, 0.5, False), (1, 2, [[0.5], [0.5]], False),
     (2, 2, [0.5, 0.5], False), (2, 2, [0.5, 0.5, 0.1, 0.1], False),
-    (2, 2, [[0.5, 0.5]], False)]
+    (2, 2, [[0.5, 0.5]], False),
+    (3, 1, [[0.1], [0.2], [0.3]], True), (3, 1, [0.1, 0.2, 0.3], True),
+    (1, 3, [[0.1, 0.2, 0.3]], True), (1, 3, [0.1, 0.2, 0.3], True),
+    (3, 1, [0.1, 0.2], False), (3, 1, 0.1, False), (3, 1, [[0.1, 0.2, 0.3]], False),
+    (1, 3, [0.1, 0.2], False), (1, 3, 0.1, False), (1, 3, [[0.1], [0.2], [0.3]], False)]
 
 
 def _solve_problem(m, k, solve):
@@ -333,20 +337,25 @@ def _solve_problem(m, k, solve):
 
 @pytest.mark.parametrize("k, m, start, ok", START_FORMS)
 def test_loader_iterate_and_picard_take_the_same_starts(k, m, start, ok):
+    # apply and diagonal_apply read their windows by the same rule too
     op, space = averaging(k, m), euclidean(Box([-1.0] * m, [1.0] * m))
     windows = [lambda: problem.loads(_solve_problem(m, k, {"start": start})).solve["start"],
                lambda: iterate(op, space, start).points[:k]]
-    if k == 1:
+    maps = [op.apply]
+    if k == 1:  # F reads one point, the window of its arity-1 operator
         windows.append(lambda: picard(op, space, start).points[:1])
+        maps.append(averaging(2, m).diagonal_apply)
     if not ok:
-        for window in windows:
+        for read in windows + [lambda f=f: f(start) for f in maps]:
             with pytest.raises(UsageError, match=f"start must supply {k} point"):
-                window()
+                read()
         return
     loaded, *others = [window() for window in windows]
     assert loaded.shape == (k, m)
     for window in others:
         np.testing.assert_array_equal(window, loaded)
+    for f in maps:
+        np.testing.assert_array_equal(f(start), f(loaded))
 
 
 def test_stop_block_takes_the_stop_rule_defaults():
@@ -1163,10 +1172,12 @@ def _short_trace():
      "trace too short: need at least k+1=3 points"),
     (lambda: kannan_bounds(0.1, 1, 1.0, -1.0, 3), "d01 and n must be nonnegative"),
     (lambda: kannan_bounds(0.1, 1, 1.0, 1.0, -1), "d01 and n must be nonnegative"),
+    (lambda: kannan_bounds(0.1, 1, 1.0, math.nan, 3), "d01 and n must be nonnegative"),
+    (lambda: kannan_bounds(0.1, 1, 1.0, math.inf, 3), "d01 and n must be nonnegative"),
     (lambda: cauchy_profile(_short_trace(), euclidean(Box(np.zeros(1), np.ones(1))), 0),
      "P must be >= 1"),
 ], ids=["tail-n-below-one", "tail-p-below-one", "trace-too-short", "negative-d01",
-        "negative-n", "profile-window-below-one"])
+        "negative-n", "nan-d01", "infinite-d01", "profile-window-below-one"])
 def test_input_checks(call, message):
     with pytest.raises(UsageError) as info:
         call()
