@@ -10,12 +10,15 @@ chain bound d(u_0,u_n) <= b d(u_0,u_1) + ... + b^(n-1) d(u_{n-1},u_n).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
+from functools import reduce
+from operator import add
 
 import numpy as np
 
 from . import dsl
-from .errors import DegenerateDomainError, UsageError, _renumber, as_int, require_finite
+from .errors import DegenerateDomainError, UsageError, _renumber, as_int, as_real, require_finite
 
 # Scale-aware slack: L <= R is judged violated when L > R + TOL_REL*(1+|R|).
 TOL_REL = 1e-9
@@ -177,7 +180,7 @@ class BMetricSpace(ValueEq):
     def __post_init__(self):
         if self.kind not in KERNELS:
             raise UsageError(f"unknown metric kind {self.kind!r}")
-        if not 1.0 <= self.b < np.inf:  # NaN fails too
+        if not 1.0 <= as_real(self.b, "relaxation constant b") < np.inf:  # NaN fails too
             raise UsageError("relaxation constant b must be a finite number >= 1")
 
     @property
@@ -236,6 +239,27 @@ KERNELS = {"euclidean": _euclidean, "squared_euclidean": _squared_euclidean,
            "power": _power, "lp_truncated": _lp_truncated, "custom_dsl": _custom_dsl}
 
 
+def _float_squared_euclidean(space):
+    # a point of dimension 1 is a float, a longer one a list of floats
+    if space.dimension == 1:  # `fold` adds +0.0 to one term
+        return lambda x, y: (x - y) * (x - y) + 0.0
+    if space.dimension >= 8:  # `fold` reduces 8 or more terms pairwise
+        return None
+    # below 8 terms add.reduce is a left fold from +0.0
+    return lambda x, y: reduce(add, [(a - b) * (a - b) for a, b in zip(x, y)], 0.0)
+
+
+def _float_euclidean(space):
+    d = _float_squared_euclidean(space)
+    return d and (lambda x, y: math.sqrt(d(x, y)))
+
+
+# kind -> maker(space): the kernel(x, y) of `space` on two points of Python
+# floats, bit-identical to its kernel above, or None where its arithmetic is
+# not repeated there
+FLOAT_KERNELS = {"euclidean": _float_euclidean, "squared_euclidean": _float_squared_euclidean}
+
+
 def euclidean(domain):
     """The ordinary Euclidean metric (b = 1)."""
     return BMetricSpace("euclidean", domain, b=1.0)
@@ -248,14 +272,14 @@ def squared_euclidean(domain):
 
 def power(p, domain):
     """p-th power of the Euclidean metric, p > 1; b = 2^(p-1)."""
-    if not 1 < p < np.inf:  # NaN fails too
+    if not 1 < as_real(p, "power p") < np.inf:  # NaN fails too
         raise UsageError("power construction requires a finite p > 1")
     return BMetricSpace("power", domain, b=2.0 ** (p - 1.0), p=float(p))
 
 
 def lp_truncated(p, domain):
     """Finite-dimensional l_p distance for 0 < p < 1; b = 2^(1/p)."""
-    if not 0 < p < 1:
+    if not 0 < as_real(p, "lp_truncated p") < 1:
         raise UsageError("lp_truncated requires 0 < p < 1")
     return BMetricSpace("lp_truncated", domain, b=2.0 ** (1.0 / p), p=float(p))
 
@@ -263,7 +287,7 @@ def lp_truncated(p, domain):
 def custom(expr_source, domain, b):
     """Distance from a DSL expression in u1..um, v1..vm with declared b."""
     expr = dsl.parse(expr_source, dsl.metric_variables(domain.dimension))
-    return BMetricSpace("custom_dsl", domain, b=float(b), expr=expr)
+    return BMetricSpace("custom_dsl", domain, b=as_real(b, "relaxation constant b"), expr=expr)
 
 
 # --- sampling --------------------------------------------------------------

@@ -35,7 +35,7 @@ from . import dsl
 # re-exports CHUNK, and _sample_windows, whose budget default is verify's
 from .bmetric import CHUNK, TOL_REL, ValueEq, _sample_windows, fold, max_ratio, payload, sampled
 from .errors import (DegenerateDomainError, DomainError, NumericEvalError, UsageError,
-                     _renumber, as_int, require_finite)
+                     _renumber, as_int, as_real, require_finite)
 
 # kind -> the ConditionSpec field that holds its constant (diagonal_strict has none)
 FIELDS = {"presic_sum": "r", "ciric_max": "kappa", "lambda_max": "lam", "weak_phi": "phi",
@@ -58,7 +58,7 @@ class PhiFunction:
     def __post_init__(self):
         if self.kind not in GAUGES:
             raise UsageError(f"unknown gauge kind {self.kind!r}")
-        if self.kind == "linear" and not 0 < self.c < 1:
+        if self.kind == "linear" and not 0 < as_real(self.c, "linear gauge c") < 1:
             raise UsageError("linear gauge needs 0 < c < 1")
         try:
             zero = self(0.0)
@@ -182,15 +182,15 @@ class ConditionSpec:
 
 
 def presic_sum(r):
-    return ConditionSpec("presic_sum", r=tuple(float(v) for v in r))
+    return ConditionSpec("presic_sum", r=tuple(as_real(v, "presic_sum r_j") for v in r))
 
 
 def ciric_max(kappa):
-    return ConditionSpec("ciric_max", kappa=float(kappa))
+    return ConditionSpec("ciric_max", kappa=as_real(kappa, "ciric_max kappa"))
 
 
 def lambda_max(lam):
-    return ConditionSpec("lambda_max", lam=float(lam))
+    return ConditionSpec("lambda_max", lam=as_real(lam, "lambda_max lambda"))
 
 
 def weak_phi(phi):
@@ -198,11 +198,11 @@ def weak_phi(phi):
 
 
 def kannan(a):
-    return ConditionSpec("kannan", a=float(a))
+    return ConditionSpec("kannan", a=as_real(a, "kannan a"))
 
 
 def banach(eta):
-    return ConditionSpec("banach", eta=float(eta))
+    return ConditionSpec("banach", eta=as_real(eta, "banach eta"))
 
 
 def diagonal_strict():

@@ -1,5 +1,5 @@
-"""Exception hierarchy shared across the package, the rule for integer
-inputs, and the rules for which batch row a NumericEvalError names."""
+"""Exception hierarchy shared across the package, the rules for integer and
+real inputs, and the rules for which batch row a NumericEvalError names."""
 
 import numbers
 from contextlib import contextmanager
@@ -40,6 +40,14 @@ def as_int(value, what, least=None):
         return int(value)
     raise UsageError(f"{what} must be an integer{'' if least is None else f' >= {least}'}, "
                      f"got {value!r}")
+
+
+def as_real(value, what):
+    """`value` as a float if it is a real number (an int or float, or a
+    numpy scalar of one, never a bool), else a UsageError naming `what`."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise UsageError(f"{what} must be a real number, got {value!r}")
 
 
 def _fail(message, bad):

@@ -19,7 +19,8 @@ distance d(u, f(u,..,u)) in a given space.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import add, mul
 
 import numpy as np
 
@@ -115,6 +116,46 @@ def _dsl(op, w):
 # against the operator's shape; returns (N, m) before the non-finite check
 KERNELS = {"averaging": _averaging, "affine": _affine, "constant": _affine, "dsl": _dsl,
            "diagonal": _diagonal}
+
+
+# The kernels above on Python floats, for a lone run of the solver: each
+# repeats its kernel's arithmetic in the same order, so its values are the
+# kernel's bit for bit. A point of dimension 1 is a float, a longer one a
+# list of floats, and a window is a list of k points.
+
+def _coordinatewise(kernels):
+    """The kernel on windows of points whose coordinate j is `kernels[j]`
+    on the window's floats of that coordinate."""
+    if len(kernels) == 1:
+        return kernels[0]
+    return lambda w: [g(col) for g, col in zip(kernels, zip(*w))]
+
+
+def _float_averaging(op):
+    if op.arity >= 8:  # `fold` reduces 8 or more terms pairwise
+        return None
+    div = 2.0 * op.arity
+    # below 8 terms, add.reduce is a left fold from +0.0
+    return _coordinatewise([lambda w: reduce(add, w, 0.0) / div] * op.dimension)
+
+
+def _float_affine(op):
+    weights = op.weights.tolist()
+    return _coordinatewise([lambda w, c=c: reduce(add, map(mul, w, weights)) + c
+                            for c in op.offset.tolist()])
+
+
+def _float_diagonal(op):
+    base = op.base
+    make = FLOAT_KERNELS.get(base.kind)
+    f = make and make(base)
+    return f and (lambda w: f(w * base.arity))
+
+
+# kind -> maker(op): the kernel(window) of `op` on Python floats, or None
+# where its arithmetic is not repeated there
+FLOAT_KERNELS = {"averaging": _float_averaging, "affine": _float_affine,
+                 "constant": _float_affine, "diagonal": _float_diagonal}
 
 
 def check_finite(out):

@@ -10,6 +10,9 @@ The trace of a run holds its points as one float64 (n, m) array, seeds
 included, and its step distances as one float64 (n-1,) array. The runs
 advance in blocks of steps that are tested at once, up to BLOCK steps
 while no run is predicted to stop; no result depends on the block size.
+A lone run of an averaging, affine or constant map, or of its diagonal, on
+a euclidean or squared_euclidean space steps on Python floats instead
+(`_float_run`), with the same trace bit for bit.
 
 The bound machinery: with theta = eta^(1/k) and
 K = max(alpha_1/theta, .., alpha_k/theta^k) built from the first k
@@ -22,14 +25,16 @@ For the kannan-style scheme with lambda = a k b^k the tail bound is
 from __future__ import annotations
 
 import math
-import numbers
+import sys
 from dataclasses import dataclass
+from operator import le
 
 import numpy as np
 
 from . import bmetric, contraction, operators
 from .bmetric import ValueEq, leq_tol, payload
-from .errors import DomainError, NumericEvalError, UsageError, _renumber, as_int, require_finite
+from .errors import (DomainError, NumericEvalError, UsageError, _renumber, as_int, as_real,
+                     require_finite)
 
 DIVERGENCE_FACTOR = 1e12
 _INITIAL_CAPACITY = 256  # points a run's buffers hold before their first doubling
@@ -49,7 +54,7 @@ class StopRule:
         for name in ("residual_tol", "step_tol"):
             tol = getattr(self, name)
             # `not tol > 0` also holds for NaN, which no step would ever meet
-            if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not tol > 0:
+            if not as_real(tol, name) > 0:
                 raise UsageError(f"{name} must be a positive number, got {tol!r}")
         cap = as_int(self.max_iterations, "max_iterations")
         object.__setattr__(self, "max_iterations", cap)  # buffer sizes must be ints
@@ -127,6 +132,8 @@ def _run(op, space, seeds, stop, strict_domain):
     if bad.any():
         raise UsageError(_in_run("seed points have non-finite coordinates",
                                  int(np.argwhere(bad)[0][0]), runs))
+    if runs == 1 and (trace := _float_run(op, space, seeds[0], stop, strict_domain)) is not None:
+        return [trace]
     k, limit = op.arity, stop.max_iterations
     f = operators.KERNELS[op.kind]
     d = bmetric.KERNELS[space.kind]
@@ -221,6 +228,58 @@ def _run(op, space, seeds, stop, strict_domain):
     for r, run in enumerate(ids):
         traces[run] = _trace(points[r], alphas[r], n, "max_iterations", None, out_of_domain[run])
     return traces
+
+
+def _float_run(op, space, seeds, stop, strict_domain):
+    """The trace of the one run from the (k, m) `seeds`, stepped on Python
+    floats, or None where `_run`'s array loop must take it.
+
+    The float kernels (`operators.FLOAT_KERNELS`, `bmetric.FLOAT_KERNELS`)
+    repeat the array kernels' arithmetic, and the steps repeat the loop's
+    box compare and stop rules, so the trace is the loop's bit for bit. Where
+    a kind has no float kernel, or numpy does not ignore underflow, which a
+    finite result can meet, the loop takes the run. So it does at the first
+    step that is not clean: a non-finite point, step distance or residual,
+    the only results at which these kernels meet an overflow or an invalid
+    value, or a point outside the box in strict mode. The loop then runs
+    from the seeds, and gives each warning, callback and error of the run.
+    """
+    make_f, make_d = operators.FLOAT_KERNELS.get(op.kind), bmetric.FLOAT_KERNELS.get(space.kind)
+    f, d = make_f and make_f(op), make_d and make_d(space)
+    if not (f and d) or np.geterr()["under"] != "ignore":
+        return None
+    k, m, isfinite = op.arity, op.dimension, math.isfinite
+    # a point of dimension 1 is a float, a longer one a list of floats
+    points, lo, hi = (a[..., 0].tolist() if m == 1 else a.tolist()
+                      for a in (seeds, space.domain.lo_tol, space.domain.hi_tol))
+    inside = (lambda x: lo <= x <= hi) if m == 1 else (
+        lambda x: all(map(le, lo, x)) and all(map(le, x, hi)))
+    alphas = [d(x, y) for x, y in zip(points, points[1:])]
+    if not all(map(isfinite, alphas)):
+        return None
+    blowup, reason, residual, outside = None, "max_iterations", None, 0
+    while len(points) < stop.max_iterations:
+        x = f(points[-k:])
+        outside += not inside(x)  # True at NaN and ±inf too
+        a = d(points[-1], x)
+        if not isfinite(a) or strict_domain and outside:  # a is not finite at a non-finite x
+            return None
+        points.append(x)
+        alphas.append(a)
+        if blowup is None:
+            blowup = min(DIVERGENCE_FACTOR * (1.0 + alphas[0]), sys.float_info.max)
+        if a > blowup:
+            reason = "diverged"
+            break
+        if a <= stop.step_tol:
+            residual = d(x, f([x] * k))
+            if not isfinite(residual):
+                return None
+            if residual <= stop.residual_tol:
+                reason = "converged"
+                break
+    return _trace(np.array(points).reshape(-1, m), np.array(alphas, dtype=float), len(points),
+                  reason, residual, outside)
 
 
 def _horizon(alphas, n, blowup, step_tol):
@@ -424,7 +483,10 @@ def cauchy_profile(trace, space, P):
     n_max = len(pts) - P
     if n_max <= 0:
         return np.empty(0)
-    out = np.zeros(n_max)
-    for p in range(1, P + 1):
-        np.maximum(out, space.distance_batch(pts[:n_max], pts[p:p + n_max]), out=out)
-    return out
+    # row (p - 1) n_max + n pairs x_n with x_{n+p}, and an error names its n:
+    # a non-finite distance the first such pair in order of p, then n
+    with _renumber(lambda row: row % n_max):
+        d = space.distance_batch(np.concatenate([pts[:n_max]] * P),
+                                 np.concatenate([pts[p:p + n_max] for p in range(1, P + 1)]))
+    # each n's np.maximum folded over p = 1..P in order, from +0.0
+    return np.maximum.reduce(d.reshape(P, n_max), axis=0, initial=0.0)

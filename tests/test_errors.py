@@ -1,4 +1,5 @@
-"""errors.as_int, the one rule for integer inputs, at every site that reads one."""
+"""errors.as_int and errors.as_real, the rules for integer and real inputs,
+at every site that reads one."""
 
 import json
 
@@ -6,7 +7,9 @@ import numpy as np
 import pytest
 
 from presic_lab import (
+    BMetricSpace,
     Box,
+    PhiFunction,
     StopRule,
     UsageError,
     averaging,
@@ -14,15 +17,21 @@ from presic_lab import (
     cauchy_profile,
     check_axioms,
     ciric_max,
+    custom,
     estimate_b,
     estimate_constant,
     euclidean,
     from_dsl,
     iterate,
+    kannan,
+    lambda_max,
+    lp_truncated,
+    power,
+    presic_sum,
     verify,
 )
 from presic_lab import problem
-from presic_lab.errors import as_int
+from presic_lab.errors import as_int, as_real
 
 SPACE = euclidean(Box(np.zeros(1), np.full(1, 2.0)))
 TRACE = iterate(averaging(1), SPACE, [2.0], StopRule(max_iterations=12))
@@ -118,3 +127,62 @@ def test_as_int_takes_least_itself_and_names_it():
     with pytest.raises(UsageError) as info:
         as_int(-1.0, "n", 0)
     assert str(info.value) == "n must be an integer >= 0, got -1.0"
+
+
+# site -> (call(value), what the message names, a value in range): each call
+# reads `value` through as_real before its range check
+REAL_SITES = {
+    "linear-gauge-c": (lambda v: PhiFunction("linear", c=v), "linear gauge c", 0.5),
+    "power-p": (lambda v: power(v, SPACE.domain), "power p", 3),
+    "lp-truncated-p": (lambda v: lp_truncated(v, SPACE.domain), "lp_truncated p", 0.5),
+    "space-b": (lambda v: BMetricSpace("euclidean", SPACE.domain, v), "relaxation constant b", 2),
+    "custom-b": (lambda v: custom("abs(u1 - v1)", SPACE.domain, v), "relaxation constant b", 2),
+    "kannan-a": (kannan, "kannan a", 0.25),
+    "ciric-max-kappa": (ciric_max, "ciric_max kappa", 0.5),
+    "lambda-max-lambda": (lambda_max, "lambda_max lambda", 0.5),
+    "banach-eta": (banach, "banach eta", 0.5),
+    "presic-sum-r": (lambda v: presic_sum([v]), "presic_sum r_j", 0.5),
+    "residual-tol": (lambda v: StopRule(residual_tol=v), "residual_tol", 0.5),
+    "step-tol": (lambda v: StopRule(step_tol=v), "step_tol", 0.5),
+}
+
+
+@pytest.mark.parametrize("value", ["3", "x", None, True, np.bool_(False), [0.5]], ids=repr)
+@pytest.mark.parametrize("site", REAL_SITES)
+def test_a_site_rejects_a_value_that_is_no_real_number(site, value):
+    call, what, _ = REAL_SITES[site]
+    with pytest.raises(UsageError) as info:
+        call(value)
+    assert str(info.value) == f"{what} must be a real number, got {value!r}"
+
+
+def test_a_missing_linear_gauge_constant_is_a_usage_error():
+    with pytest.raises(UsageError, match=r"^linear gauge c must be a real number, got None$"):
+        PhiFunction("linear")
+
+
+@pytest.mark.parametrize("site", REAL_SITES)
+def test_a_site_reads_a_real_number_of_any_type_alike(site):
+    call, _, value = REAL_SITES[site]
+    casts = [np.float64, np.float32] + ([int, np.int64] if value == int(value) else [])
+    for cast in casts:
+        assert call(cast(value)) == call(float(value))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: PhiFunction("linear", c=1.0), "linear gauge needs 0 < c < 1"),
+    (lambda: power(1, SPACE.domain), "power construction requires a finite p > 1"),
+    (lambda: lp_truncated(1.0, SPACE.domain), "lp_truncated requires 0 < p < 1"),
+    (lambda: BMetricSpace("euclidean", SPACE.domain, 0.5),
+     "relaxation constant b must be a finite number >= 1"),
+    (lambda: kannan(-1).validate(), "kannan needs a >= 0")])
+def test_a_real_out_of_range_keeps_its_message(call, message):
+    with pytest.raises(UsageError) as info:
+        call()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("value", [np.nan, -np.inf, 0.25, np.float32(0.5)], ids=repr)
+def test_as_real_returns_a_python_float(value):
+    got = as_real(value, "x")
+    assert type(got) is float and (got == value or np.isnan(value))

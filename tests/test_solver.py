@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from presic_lab import (
     Box,
@@ -507,6 +507,41 @@ class TestCauchyProfile:
                          for p in range(1, P + 1))
             assert prof[n] == direct
 
+    @pytest.mark.parametrize("P", [1, 2, 5])
+    def test_is_one_call_per_p(self, P):
+        # bit for bit, with the sign of a zero: "v1 - u1" is negative and
+        # (u1 - v1)*0 is -0.0 on half the pairs
+        spaces = list(SPACES2.values()) + [
+            custom("(u1 - v1)*0 + (u2 - v2)*0", BOX2, b=1.0),
+            custom("v1 - u1", BOX2, b=1.0)]
+        rng = np.random.default_rng(5)
+        for op in OPERATORS2.values():
+            trace = iterate(op, SPACES2["euclidean"], BOX2.sample(rng, op.arity),
+                            StopRule(max_iterations=40))
+            for space in spaces:
+                got, want = cauchy_profile(trace, space, P), _reference_profile(trace, space, P)
+                np.testing.assert_array_equal(got, want)
+                np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+    def test_a_non_finite_pair_names_its_n(self):
+        # infinite only at (x_2, x_5): n = 2 at p = 3, row 12 of the one call
+        space = custom("abs(u1 - v1) + max(0, 1 - abs(u1 - 2) - abs(v1 - 5))*1e300*1e300",
+                       Box([0.0], [7.0]), b=1.0)
+        trace = IterationTrace(np.arange(8.0)[:, None], np.ones(7), "max_iterations")
+        for profile in (cauchy_profile, _reference_profile):
+            with pytest.raises(NumericEvalError, match=r"custom metric distance \(row 2\)$"):
+                profile(trace, space, 3)
+
+
+def _reference_profile(trace, space, P):
+    """cauchy_profile as one checked distance call per p."""
+    pts = np.asarray(trace.points, dtype=float)
+    n_max = len(pts) - P
+    out = np.zeros(max(n_max, 0))
+    for p in range(1, P + 1 if n_max > 0 else 1):
+        np.maximum(out, space.distance_batch(pts[:n_max], pts[p:p + n_max]), out=out)
+    return out
+
 
 class TestWindowMaxMonotonicity:
     def test_ciric_verified_operators(self, sq_space):
@@ -944,8 +979,9 @@ class TestLoopChecks:
                             lambda out: calls.append("check_finite") or check_finite(out))
         # and the metric kernel runs once a block of steps, not once a step
         _count_metric_calls(monkeypatch, sq_space, calls)
+        # two runs, as a lone run of averaging steps on Python floats
         stop = StopRule(residual_tol=1e-300, step_tol=1e-300, max_iterations=60)
-        trace = iterate(averaging(2), sq_space, [2.0, 1.0], stop)
+        trace, _ = iterate_many(averaging(2), sq_space, [[[2.0], [1.0]]] * 2, stop)
         assert len(trace.points) == 60 and trace.out_of_domain == 0
         assert set(calls) <= {"distance"}
         assert len(calls) <= math.ceil(58 / 8) + 3
@@ -953,7 +989,8 @@ class TestLoopChecks:
     def test_long_in_box_run_calls_the_metric_once_a_block(self, eu_space, monkeypatch):
         calls = []
         _count_metric_calls(monkeypatch, eu_space, calls)
-        trace = iterate(affine([0.999]), eu_space, [1.5], StopRule(max_iterations=2000))
+        trace, _ = iterate_many(affine([0.999]), eu_space, [[[1.5]]] * 2,
+                                StopRule(max_iterations=2000))
         assert trace.stop_reason == "max_iterations" and trace.out_of_domain == 0
         assert len(calls) <= math.ceil(1999 / 8) + 5
 
@@ -963,7 +1000,7 @@ class TestLoopChecks:
         # speculation, and the block's test finds the divergence at step 3
         monkeypatch.setattr(solver, "_horizon", lambda *args: 40)
         op = affine([1e10])
-        trace = iterate(op, eu_space, [1.0])
+        trace, _ = iterate_many(op, eu_space, [[[1.0]]] * 2)
         assert trace.stop_reason == "diverged" and len(trace.points) == 4
         _assert_same_trace(trace, _reference_iterate(op, eu_space, [1.0], StopRule()))
 
@@ -1043,7 +1080,7 @@ class TestLoopChecks:
                             lambda *args: seen.append(np.geterrcall()) or kernel(*args))
         callback = lambda condition, flag: None  # noqa: E731
         with np.errstate(call=callback, over="call"):
-            trace = iterate(affine([0.5]), eu_space, [1.5])
+            trace, _ = iterate_many(affine([0.5]), eu_space, [[[1.5]]] * 2)
         assert trace.stop_reason == "converged" and len(seen) >= len(trace) - 1
         assert all(each is callback for each in seen)
 
@@ -1063,6 +1100,135 @@ class TestLoopChecks:
                 iterate(blowup, eu_space, [1e150])
             with pytest.raises(NumericEvalError, match=r"coordinate 0 \(window 0\)"):
                 picard(blowup, eu_space, [1e150])
+
+
+def _outcome(call):
+    """The trace `call()` returns, or the type and message of its error; a
+    message of iterate_many's first run drops the run it names."""
+    try:
+        out = call()
+    except (DomainError, NumericEvalError, FloatingPointError) as err:
+        return type(err).__name__, str(err).removesuffix(" in run 0")
+    return out[0] if isinstance(out, list) else out
+
+
+def _count_kernel_calls(monkeypatch, op, space, calls):
+    """Append the kind of each operator and metric kernel call to `calls`."""
+    for table, kind in ((operators.KERNELS, op.kind), (operators.KERNELS, "diagonal"),
+                        (bmetric.KERNELS, space.kind)):
+        kernel = table[kind]
+        monkeypatch.setitem(table, kind,
+                            lambda *args, kind=kind, kernel=kernel: calls.append(kind) or kernel(*args))
+
+
+FLOATS = st.floats(-3.0, 3.0) | st.sampled_from([0.0, -0.0, 5e-324, -1e-170, 1e-300])
+
+
+class TestFloatRun:
+    """A lone run of averaging, affine and constant maps, or their
+    diagonals, on euclidean and squared_euclidean spaces of dimension below
+    8 steps on Python floats; its trace is the array loop's bit for bit."""
+
+    @settings(max_examples=150)
+    @given(data=st.data(), kind=st.sampled_from(["averaging", "affine", "constant"]),
+           k=st.integers(1, 7), m=st.integers(1, 7), diagonal=st.booleans(),
+           metric=st.sampled_from([euclidean, squared_euclidean]), strict=st.booleans())
+    def test_a_lone_run_is_the_array_loops(self, data, kind, k, m, diagonal, metric, strict):
+        values = lambda size: st.lists(FLOATS, min_size=size, max_size=size)  # noqa: E731
+        if kind == "averaging":
+            op = averaging(k, dimension=m)
+        elif kind == "affine":
+            weights = data.draw(values(k) | st.lists(st.sampled_from([1e200, -4.0, -0.5, 0.0]),
+                                                     min_size=k, max_size=k))
+            op = affine(weights, data.draw(values(m)), dimension=m)
+        else:
+            op = constant(data.draw(values(m)), k=k)
+        # a box the run may leave: around 0, or away from the start
+        half = data.draw(st.floats(0.0, 3.0))
+        space = metric(Box(np.full(m, -half), np.full(m, half)))
+        start = np.array(data.draw(values(k * m))).reshape(k, m)
+        stop = StopRule(residual_tol=data.draw(st.sampled_from([1e-300, 1e-12, 1e-3])),
+                        step_tol=data.draw(st.sampled_from([1e-300, 1e-12, 1e-3])),
+                        max_iterations=data.draw(st.integers(2, 80)))
+        if diagonal:
+            run, seeds = op.diagonal, start[:1]
+            reference = lambda: _reference_picard(op, space, seeds[0], stop)  # noqa: E731
+        else:
+            run, seeds = op, start
+            reference = lambda: _reference_iterate(op, space, seeds, stop)  # noqa: E731
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = _outcome(lambda: iterate(run, space, seeds, stop, strict))
+            pair = _outcome(lambda: iterate_many(run, space, [seeds, seeds], stop, strict))
+            want = _outcome(reference)
+        if isinstance(got, tuple):  # an error: the reference loop words its own
+            assert pair == got
+            assert strict or want[0] == got[0]
+        else:
+            _assert_same_trace(got, pair)
+            _assert_same_trace(got, want)  # in strict mode, a run that never left
+
+    @pytest.mark.parametrize("mode", ["warn", "raise", "call"])
+    @pytest.mark.parametrize("metric, seeds", [
+        # x_{n+2} = 1e200 x_{n+1} overflows at step 4, 1e150 -> 1e350; the
+        # first seed distance keeps the divergence rule from firing before
+        (euclidean, [-1e150, 1e-250]),
+        # the square of the step 1e100 -> 1e300 overflows, at step 4
+        (squared_euclidean, [-1e150, 1e-300])])
+    def test_an_overflow_shows_at_its_step(self, metric, seeds, mode):
+        op = affine([0.0, 1e200])
+        space = metric(Box([-1.0], [1.0]))
+
+        def outcome(call):
+            events = []
+            with warnings.catch_warnings(record=True) as caught, np.errstate(
+                    over=mode, call=lambda condition, flag: events.append(condition)):
+                warnings.simplefilter("always")
+                out = _outcome(call)
+            return out, events + [str(w.message) for w in caught]
+
+        got, events = outcome(lambda: iterate(op, space, seeds))
+        pair = np.repeat(np.reshape(seeds, (1, 2, 1)), 2, axis=0)
+        assert (got, events) == outcome(lambda: iterate_many(op, space, pair))
+        assert events == {"warn": ["overflow encountered in multiply"], "call": ["overflow"],
+                          "raise": []}[mode]
+        if mode == "raise":
+            assert got == ("FloatingPointError", "overflow encountered in multiply")
+        elif metric is euclidean:
+            assert got == ("NumericEvalError",
+                           "non-finite operator output at coordinate 0 (window 0)")
+        else:
+            assert got == ("NumericEvalError",
+                           "non-finite result in squared_euclidean distance alpha_4")
+
+    def test_a_lone_run_calls_no_kernel(self, eu_space, monkeypatch):
+        calls = []
+        _count_kernel_calls(monkeypatch, averaging(3), eu_space, calls)
+        trace = iterate(averaging(3), eu_space, [1.0, -0.5, 2.0])
+        assert trace.stop_reason == "converged" and calls == []
+        picard(affine([0.2, 0.15, 0.1], offset=0.1), eu_space, [1.0])
+        assert calls == []
+
+    @pytest.mark.parametrize("case", ["under=warn", "m=8", "averaging(8)", "power(3)", "dsl"])
+    def test_other_runs_take_the_array_loop(self, case, monkeypatch):
+        op, space, seeds = averaging(2), euclidean(Box([-2.0], [2.0])), [1.0, 0.5]
+        if case == "m=8":
+            op, space = averaging(2, dimension=8), euclidean(Box(np.full(8, -2.0), np.full(8, 2.0)))
+            seeds = np.linspace(-1.0, 1.0, 16).reshape(2, 8)
+        elif case == "averaging(8)":
+            op, seeds = averaging(8), np.linspace(-1.0, 1.0, 8)
+        elif case == "power(3)":
+            space = power(3, Box([-2.0], [2.0]))
+        elif case == "dsl":
+            op = from_dsl("(x1 + x2)/4", 2)
+        calls = []
+        _count_kernel_calls(monkeypatch, op, space, calls)
+        with np.errstate(under="warn" if case == "under=warn" else "ignore"):
+            trace = iterate(op, space, seeds)
+        assert trace.stop_reason == "converged"
+        assert op.kind in calls and space.kind in calls
+        monkeypatch.undo()
+        with np.errstate(under="ignore"):
+            _assert_same_trace(trace, _reference_iterate(op, space, seeds, StopRule()))
 
 
 
