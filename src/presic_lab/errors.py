@@ -2,7 +2,6 @@
 real inputs, and the rules for which batch row a NumericEvalError names."""
 
 import numbers
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -66,14 +65,19 @@ def require_finite(value, what):
     return value
 
 
-@contextmanager
-def _renumber(row_of):
+class _renumber:
     """Re-raise a NumericEvalError that names a batch row as naming
     `row_of(row)`: a chunk's row becomes its window's sample index, or a
-    buffer row the run it holds."""
-    try:
-        yield
-    except NumericEvalError as err:
-        if err.row is None:
-            raise
-        raise NumericEvalError(err.template, int(row_of(err.row))) from None
+    buffer row the run it holds. Every other exception passes unchanged.
+    A class, as its `with` costs under half of a generator-based one's."""
+
+    def __init__(self, row_of):
+        self.row_of = row_of
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, err, traceback):
+        if isinstance(err, NumericEvalError) and err.row is not None:
+            raise NumericEvalError(err.template, int(self.row_of(err.row))) from None
+        return False

@@ -93,10 +93,10 @@ def _load_solve(cfg, op):
 
 
 # block -> loader(cfg, the blocks loaded before it), in load order
-BLOCKS = {"space": lambda cfg, got: _load_space(cfg),
-          "operator": lambda cfg, got: _load_operator(cfg, got["space"].dimension),
-          "condition": lambda cfg, got: contraction.ConditionSpec.from_dict(cfg),
-          "solve": lambda cfg, got: _load_solve(cfg, got["operator"])}
+LOADERS = {"space": lambda cfg, got: _load_space(cfg),
+           "operator": lambda cfg, got: _load_operator(cfg, got["space"].dimension),
+           "condition": lambda cfg, got: contraction.ConditionSpec.from_dict(cfg),
+           "solve": lambda cfg, got: _load_solve(cfg, got["operator"])}
 
 
 def loads(text):
@@ -111,9 +111,9 @@ def loads(text):
     if not isinstance(cfg, dict) or "space" not in cfg or "operator" not in cfg:
         raise UsageError("problem file needs 'space' and 'operator' blocks")
     got = {}
-    for name, load_block in BLOCKS.items():
+    for name, loader in LOADERS.items():
         try:
-            got[name] = load_block(cfg[name], got) if name in cfg else None
+            got[name] = loader(cfg[name], got) if name in cfg else None
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             why = f" missing field {exc}" if isinstance(exc, KeyError) else f": {exc}"
             raise UsageError(f"{name} block{why}") from None

@@ -7,12 +7,10 @@ is the k-step scheme of `op.diagonal`: `picard(op, ...)` runs it from one
 start point, `iterate_many(op.diagonal, ...)` from many. All of them check
 their seeds once, at entry; a bad seed is a UsageError before any step.
 The trace of a run holds its points as one float64 (n, m) array, seeds
-included, and its step distances as one float64 (n-1,) array. The runs
-advance in blocks of steps that are tested at once, up to BLOCK steps
-while no run is predicted to stop; no result depends on the block size.
-A lone run of an averaging, affine or constant map, or of its diagonal, on
-a euclidean or squared_euclidean space steps on Python floats instead
-(`_float_run`), with the same trace bit for bit.
+included, and its step distances as one float64 (n-1,) array. A lone run
+steps on Python floats (`_float_run`), on a kind's float kernel where it
+has one and on its array kernel otherwise; more runs take one step at a
+time together, on arrays. Both give the same trace bit for bit.
 
 The bound machinery: with theta = eta^(1/k) and
 K = max(alpha_1/theta, .., alpha_k/theta^k) built from the first k
@@ -26,6 +24,7 @@ from __future__ import annotations
 
 import math
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass
 from operator import le
 
@@ -38,10 +37,6 @@ from .errors import (DomainError, NumericEvalError, UsageError, _renumber, as_in
 
 DIVERGENCE_FACTOR = 1e12
 _INITIAL_CAPACITY = 256  # points a run's buffers hold before their first doubling
-# The most steps a block of _run takes before its one test. A longer block
-# spreads the test over more steps, but is predicted more rarely, as it ends
-# before any predicted stop. No result depends on this size.
-BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -93,33 +88,21 @@ def _run(op, space, seeds, stop, strict_domain):
     """Extend each run of the (S, k, m) `seeds` one point a step until a stop
     rule fires; return the S traces in run order.
 
-    The seeds are checked here, once. The steps then advance every live run
+    The seeds are checked here, once. A lone run then goes to `_float_run`.
+    Every other run, and a lone one that `_float_run` hands back, steps here
     on views of float64 (S, cap, m) and (S, cap) buffers that double up to
-    max_iterations. `op` is applied to a run's last k points; for Picard
-    iteration `op` is `op.diagonal`, whose one-point window is the last
-    point.
+    max_iterations, one step at a time for all live runs. `op` is applied to
+    a run's last k points; for Picard iteration `op` is `op.diagonal`, whose
+    one-point window is the last point.
 
-    The steps come in blocks, as many as `_horizon` predicts no run to stop
-    in. A block costs one operator kernel call a step, and one box compare,
-    one metric kernel call and one scan for stop events in all (`_block`).
-    Its steps before the first event are kept; the step of an event runs
-    alone, as below, so no trace or error depends on the block size. The
-    block's kernels run with each floating-point condition numpy is not set
-    to ignore raised: a block ends before a step whose operator kernel
-    raises, and runs its steps alone if its metric kernel does. Such a step
-    runs outside the block, under the caller's settings, so its warning,
-    FloatingPointError or callback is the one a step alone gives, at the
-    same step.
-
-    A step alone calls the operator and metric kernels once each. Between
-    them one compare against the box's widened bounds tests the domain and,
-    as it fails at NaN and ±inf, finiteness too; a step that fails it runs
-    `check_finite` first, so a non-finite point is a NumericEvalError
-    before any DomainError. The stop rules read the step distances as
-    Python floats; the residuals d(x, F(x)) of the runs whose step met
-    step_tol take one more operator and metric kernel call, for all of them.
-    When a run stops, its trace is cut out and the buffers keep only the
-    live rows.
+    A step calls the operator and metric kernels once each. Between them one
+    compare against the box's widened bounds tests the domain and, as it
+    fails at NaN and ±inf, finiteness too; a step that fails it runs
+    `check_finite` first, so a non-finite point is a NumericEvalError before
+    any DomainError. The stop rules read the step distances as Python
+    floats; the residuals d(x, F(x)) of the runs whose step met step_tol
+    take one more operator and metric kernel call, for all of them. When a
+    run stops, its trace is cut out and the buffers keep only the live rows.
 
     An error names its run. In a kernel error the window or row index is
     the run's; the other messages end in "in run r" when S > 1.
@@ -137,7 +120,6 @@ def _run(op, space, seeds, stop, strict_domain):
     k, limit = op.arity, stop.max_iterations
     f = operators.KERNELS[op.kind]
     d = bmetric.KERNELS[space.kind]
-    step_tol = stop.step_tol
     cap = max(n, min(_INITIAL_CAPACITY, limit))
     points = np.empty((runs, cap, m))
     alphas = np.empty((runs, cap))
@@ -154,10 +136,6 @@ def _run(op, space, seeds, stop, strict_domain):
     out_of_domain = [0] * runs
     traces = [None] * runs
     blowup = None  # per row: the step distance past which its run diverged
-    # a block's kernels raise at each floating-point condition the caller
-    # does not ignore, in place of its warning, callback or error
-    raised = {condition: "ignore" if mode == "ignore" else "raise"
-              for condition, mode in np.geterr().items()}
     # a kernel error names a buffer row: re-raise it naming the run that row
     # holds, through a lambda because `ids` is rebound as runs stop
     with _renumber(lambda row: ids[row]):
@@ -167,18 +145,6 @@ def _run(op, space, seeds, stop, strict_domain):
                 points = np.concatenate([points, np.empty((len(ids), cap - n, m))], axis=1)
                 alphas = np.concatenate([alphas, np.empty((len(ids), cap - n))], axis=1)
             nxt = f(op, points[:, n - k:n])
-            b = 1 if blowup is None else min(_horizon(alphas, n, blowup, step_tol),
-                                             limit - n, cap - n)
-            if b > 1:
-                points[:, n] = nxt
-                done, outside = _block(op, space, points, alphas, n, b, blowup, step_tol,
-                                       strict_domain, raised)
-                if done:  # else step n has an event and runs alone, below
-                    if outside is not None:
-                        for r, count in enumerate(outside.tolist()):
-                            out_of_domain[ids[r]] += count
-                    n += done
-                    continue
             # False at NaN and ±inf too
             inside = (nxt >= space.domain.lo_tol) & (nxt <= space.domain.hi_tol)
             if np.count_nonzero(inside) < inside.size:  # a fifth of inside.all()'s cost
@@ -194,16 +160,16 @@ def _run(op, space, seeds, stop, strict_domain):
             alphas[:, n - 1] = alpha
             if blowup is None:  # alphas[:, 0] is set from here on; capped at the
                 # largest float, which no finite distance exceeds
-                blowup = np.minimum([DIVERGENCE_FACTOR * (1.0 + a) for a in alphas[:, 0].tolist()],
-                                    np.finfo(float).max)
+                blowup = [min(DIVERGENCE_FACTOR * (1.0 + a), sys.float_info.max)
+                          for a in alphas[:, 0].tolist()]
             stopped, near = {}, []
-            for r, (a, top) in enumerate(zip(alpha.tolist(), blowup.tolist())):
+            for r, (a, top) in enumerate(zip(alpha.tolist(), blowup)):
                 if not math.isfinite(a):
                     raise NumericEvalError(_in_run(
                         f"non-finite result in {space.distance_name} alpha_{n}", ids[r], runs))
                 if a > top:
                     stopped[r] = ("diverged", None)
-                elif a <= step_tol:
+                elif a <= stop.step_tol:
                     near.append(r)
             if near:
                 x = nxt[near]
@@ -224,7 +190,7 @@ def _run(op, space, seeds, stop, strict_domain):
                     return traces
                 points, alphas = points[keep], alphas[keep]
                 ids = [ids[r] for r in keep]
-                blowup = blowup[keep]
+                blowup = [blowup[r] for r in keep]
     for r, run in enumerate(ids):
         traces[run] = _trace(points[r], alphas[r], n, "max_iterations", None, out_of_domain[run])
     return traces
@@ -234,118 +200,76 @@ def _float_run(op, space, seeds, stop, strict_domain):
     """The trace of the one run from the (k, m) `seeds`, stepped on Python
     floats, or None where `_run`'s array loop must take it.
 
-    The float kernels (`operators.FLOAT_KERNELS`, `bmetric.FLOAT_KERNELS`)
-    repeat the array kernels' arithmetic, and the steps repeat the loop's
-    box compare and stop rules, so the trace is the loop's bit for bit. Where
-    a kind has no float kernel, or numpy does not ignore underflow, which a
-    finite result can meet, the loop takes the run. So it does at the first
-    step that is not clean: a non-finite point, step distance or residual,
-    the only results at which these kernels meet an overflow or an invalid
-    value, or a point outside the box in strict mode. The loop then runs
-    from the seeds, and gives each warning, callback and error of the run.
+    A kind's float kernel (`operators.FLOAT_KERNELS`, `bmetric.FLOAT_KERNELS`)
+    repeats its array kernel's arithmetic. A kind without one runs its array
+    kernel on the one window or pair the array loop would pass it, with its
+    result read back as floats, and every floating-point condition numpy is
+    not set to ignore raised. The steps repeat the loop's box compare and
+    stop rules, so the trace is the loop's bit for bit.
+
+    The loop takes the run from its seeds at the first step that is not
+    clean: a non-finite point, step distance or residual (for the float
+    kernels the only results at which an overflow or an invalid value
+    shows), a point outside the box in strict mode, or a NumericEvalError or
+    FloatingPointError of an array kernel. It then gives each warning,
+    callback and error of the run. It takes the whole run while numpy does
+    not ignore underflow, which a finite result on floats can meet.
     """
-    make_f, make_d = operators.FLOAT_KERNELS.get(op.kind), bmetric.FLOAT_KERNELS.get(space.kind)
-    f, d = make_f and make_f(op), make_d and make_d(space)
-    if not (f and d) or np.geterr()["under"] != "ignore":
+    modes = np.geterr()
+    if modes["under"] != "ignore":
         return None
     k, m, isfinite = op.arity, op.dimension, math.isfinite
+    make_f, make_d = operators.FLOAT_KERNELS.get(op.kind), bmetric.FLOAT_KERNELS.get(space.kind)
+    f, d = make_f and make_f(op), make_d and make_d(space)
+    wrapped = not (f and d)
+    if not f:
+        kernel, read = operators.KERNELS[op.kind], (
+            np.ndarray.item if m == 1 else lambda out: out[0].tolist())
+        f = lambda w: read(kernel(op, np.array(w).reshape(1, k, m)))  # noqa: E731
+    if not d:
+        metric = bmetric.KERNELS[space.kind]
+        d = lambda x, y: metric(  # noqa: E731
+            space, np.array(x, ndmin=2), np.array(y, ndmin=2)).item()
     # a point of dimension 1 is a float, a longer one a list of floats
     points, lo, hi = (a[..., 0].tolist() if m == 1 else a.tolist()
                       for a in (seeds, space.domain.lo_tol, space.domain.hi_tol))
-    inside = (lambda x: lo <= x <= hi) if m == 1 else (
-        lambda x: all(map(le, lo, x)) and all(map(le, x, hi)))
-    alphas = [d(x, y) for x, y in zip(points, points[1:])]
-    if not all(map(isfinite, alphas)):
-        return None
-    blowup, reason, residual, outside = None, "max_iterations", None, 0
-    while len(points) < stop.max_iterations:
-        x = f(points[-k:])
-        outside += not inside(x)  # True at NaN and ±inf too
-        a = d(points[-1], x)
-        if not isfinite(a) or strict_domain and outside:  # a is not finite at a non-finite x
-            return None
-        points.append(x)
-        alphas.append(a)
-        if blowup is None:
-            blowup = min(DIVERGENCE_FACTOR * (1.0 + alphas[0]), sys.float_info.max)
-        if a > blowup:
-            reason = "diverged"
-            break
-        if a <= stop.step_tol:
-            residual = d(x, f([x] * k))
-            if not isfinite(residual):
+    inside, finite = ((lambda x: lo <= x <= hi), isfinite) if m == 1 else (
+        (lambda x: all(map(le, lo, x)) and all(map(le, x, hi))), lambda x: all(map(isfinite, x)))
+    try:  # an array kernel raises at each condition numpy does not ignore
+        with np.errstate(**{condition: "ignore" if mode == "ignore" else "raise"
+                            for condition, mode in modes.items()}) if wrapped else nullcontext():
+            alphas = [d(x, y) for x, y in zip(points, points[1:])]
+            if not all(map(isfinite, alphas)):
                 return None
-            if residual <= stop.residual_tol:
-                reason = "converged"
-                break
+            blowup, reason, residual, outside = None, "max_iterations", None, 0
+            while len(points) < stop.max_iterations:
+                x = f(points[-k:])
+                a = d(points[-1], x)
+                if not inside(x):  # also at NaN and ±inf
+                    if strict_domain or not finite(x):
+                        return None
+                    outside += 1
+                if not isfinite(a):
+                    return None
+                points.append(x)
+                alphas.append(a)
+                if blowup is None:
+                    blowup = min(DIVERGENCE_FACTOR * (1.0 + alphas[0]), sys.float_info.max)
+                if a > blowup:
+                    reason = "diverged"
+                    break
+                if a <= stop.step_tol:
+                    fx = f([x] * k)
+                    residual = d(x, fx)
+                    if not (finite(fx) and isfinite(residual)):
+                        return None
+                    if residual <= stop.residual_tol:
+                        reason = "converged"
+                        break
+    except (NumericEvalError, FloatingPointError):
+        return None
     return _trace(np.array(points).reshape(-1, m), np.array(alphas, dtype=float), len(points),
                   reason, residual, outside)
-
-
-def _horizon(alphas, n, blowup, step_tol):
-    """How many steps, at most BLOCK, the live runs are predicted to take
-    before any of them stops: each run's last two step distances are
-    extrapolated geometrically, a shrinking run's to step_tol and a growing
-    run's to its blowup threshold. 1 when fewer than two step distances
-    exist, a run's last one has met step_tol, or a ratio is 1 or not finite."""
-    if n < 3:
-        return 1
-    if len(blowup) > 1:  # one numpy pass: a Python loop costs more past a few runs
-        prev, last = alphas[:, n - 3], alphas[:, n - 2]
-        with np.errstate(all="ignore"):
-            rate = np.log(last) - np.log(prev)  # the log of the ratio
-            # the step at which last * ratio^j crosses the run's threshold:
-            # -inf at a ratio of 1, 0 at an infinite one
-            steps = (np.log(np.where(rate <= 0, step_tol, blowup)) - np.log(last)) / rate
-        least = steps.min() if (last > step_tol).all() else 0.0
-    else:  # the same on Python floats, at 2 µs a call against the numpy pass's 18 µs
-        prev, last = alphas[0, n - 3:n - 1].tolist()
-        if not (last > step_tol and prev > 0):
-            return 1
-        rate = math.log(last) - math.log(prev)
-        least = 0.0 if rate == 0 else (
-            math.log(step_tol if rate < 0 else blowup[0]) - math.log(last)) / rate
-    return math.ceil(min(least, BLOCK + 1)) - 1 if least > 2 else 1
-
-
-def _block(op, space, points, alphas, n, b, blowup, step_tol, strict_domain, raised):
-    """Take steps n+1 .. n+b-1 after step n, already in `points`, with the
-    operator kernel alone, up to the first step whose kernel raises: a
-    NumericEvalError, or a FloatingPointError at a condition that the
-    errstate `raised` sets to "raise". Then test the steps before it with
-    one box compare and one metric kernel call, whose step distances go to
-    `alphas`.
-
-    Returns how many leading steps no run has an event at (a non-finite
-    point, a point outside the box in strict mode, a non-finite step
-    distance, one past blowup, one at step_tol), 0 if the metric kernel
-    raised; and per row the points outside the box in those steps, or None
-    when every point is inside.
-    """
-    f, d, k = operators.KERNELS[op.kind], bmetric.KERNELS[space.kind], op.arity
-    at_step = points.swapaxes(0, 1)  # a write to at_step[j] costs about half of one to points[:, j]
-    with np.errstate(**raised):
-        for j in range(n + 1, n + b):
-            try:
-                at_step[j] = f(op, points[:, j - k:j])
-            except (NumericEvalError, FloatingPointError):
-                b = j - n  # step j is the next block's first, where this shows
-                break
-        block = points[:, n:n + b]
-        try:
-            alpha = d(space, points[:, n - 1:n + b - 1], block)
-        except (NumericEvalError, FloatingPointError):  # each step runs alone up to it
-            return 0, None
-    alphas[:, n - 1:n + b - 1] = alpha
-    quiet = (alpha > step_tol) & (alpha <= blowup[:, None])  # False at NaN and inf
-    inside = (block >= space.domain.lo_tol) & (block <= space.domain.hi_tol)
-    outside = None
-    if np.count_nonzero(inside) < inside.size:
-        outside = ~inside.all(axis=2)
-        quiet &= ~outside if strict_domain else np.isfinite(block).all(axis=2)
-    each = quiet.all(axis=0)
-    kept = b if each.all() else int(each.argmin())
-    return kept, None if outside is None else np.count_nonzero(outside[:, :kept], axis=1)
 
 
 def _in_run(message, run, runs):

@@ -31,7 +31,7 @@ from presic_lab import (
     verify,
 )
 from presic_lab import problem
-from presic_lab.errors import as_int, as_real
+from presic_lab.errors import NumericEvalError, _renumber, as_int, as_real
 
 SPACE = euclidean(Box(np.zeros(1), np.full(1, 2.0)))
 TRACE = iterate(averaging(1), SPACE, [2.0], StopRule(max_iterations=12))
@@ -186,3 +186,25 @@ def test_a_real_out_of_range_keeps_its_message(call, message):
 def test_as_real_returns_a_python_float(value):
     got = as_real(value, "x")
     assert type(got) is float and (got == value or np.isnan(value))
+
+
+def test_renumber_names_the_row_it_maps_to():
+    with pytest.raises(NumericEvalError) as info:
+        with _renumber(lambda row: 10 * row):
+            raise NumericEvalError("bad value (row {row})", 3)
+    assert str(info.value) == "bad value (row 30)" and info.value.row == 30
+
+
+@pytest.mark.parametrize("error", [NumericEvalError("division by zero"), UsageError("usage"),
+                                   FloatingPointError("overflow"), KeyError("key")], ids=repr)
+def test_renumber_passes_every_other_exception_unchanged(error):
+    with pytest.raises(type(error)) as info:
+        with _renumber(lambda row: 1 / 0):  # never called
+            raise error
+    assert info.value is error
+
+
+def test_renumber_leaves_a_body_without_an_error_alone():
+    with _renumber(lambda row: 1 / 0):
+        value = 5
+    assert value == 5

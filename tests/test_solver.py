@@ -38,7 +38,7 @@ from presic_lab import (
 )
 from presic_lab import bmetric, operators, problem, solver
 from presic_lab.bmetric import TOL_REL, leq_tol
-from presic_lab.solver import _INITIAL_CAPACITY, BLOCK, DIVERGENCE_FACTOR, IterationTrace
+from presic_lab.solver import _INITIAL_CAPACITY, DIVERGENCE_FACTOR, IterationTrace
 
 TIGHT = StopRule(residual_tol=1e-20, step_tol=1e-20)
 # for maps whose fixed point is not exactly representable the step size
@@ -940,7 +940,7 @@ class TestLoopChecks:
         with pytest.raises(DomainError):
             picard(affine([0.5], offset=1.5), eu_space, [1.0], strict_domain=True)
 
-    def test_strict_domain_raises_inside_a_block(self, eu_space):
+    def test_strict_domain_raises_at_a_later_step(self, eu_space):
         # x -> x/2 + 1.1 from -2 leaves [-2, 2] at its fifth step and is
         # capped at its eighth, before any step meets a stop rule
         op, stop = affine([0.5], offset=1.1), StopRule(max_iterations=8)
@@ -968,37 +968,9 @@ class TestLoopChecks:
         outside = ~eu_space.domain.contains(trace.points[1:])
         assert trace.out_of_domain == int(outside.sum()) > 0
 
-    def test_in_box_steps_call_no_per_step_checks(self, sq_space, monkeypatch):
-        # the step's one box test is also its finiteness check: neither
-        # wrapper runs while every point is finite and inside
-        calls = []
-        contains, check_finite = Box.contains, operators.check_finite
-        monkeypatch.setattr(Box, "contains",
-                            lambda box, pts: calls.append("contains") or contains(box, pts))
-        monkeypatch.setattr(operators, "check_finite",
-                            lambda out: calls.append("check_finite") or check_finite(out))
-        # and the metric kernel runs once a block of steps, not once a step
-        _count_metric_calls(monkeypatch, sq_space, calls)
-        # two runs, as a lone run of averaging steps on Python floats
-        stop = StopRule(residual_tol=1e-300, step_tol=1e-300, max_iterations=60)
-        trace, _ = iterate_many(averaging(2), sq_space, [[[2.0], [1.0]]] * 2, stop)
-        assert len(trace.points) == 60 and trace.out_of_domain == 0
-        assert set(calls) <= {"distance"}
-        assert len(calls) <= math.ceil(58 / 8) + 3
-
-    def test_long_in_box_run_calls_the_metric_once_a_block(self, eu_space, monkeypatch):
-        calls = []
-        _count_metric_calls(monkeypatch, eu_space, calls)
-        trace, _ = iterate_many(affine([0.999]), eu_space, [[[1.5]]] * 2,
-                                StopRule(max_iterations=2000))
-        assert trace.stop_reason == "max_iterations" and trace.out_of_domain == 0
-        assert len(calls) <= math.ceil(1999 / 8) + 5
-
-    def test_speculation_past_an_overflow_is_silent(self, eu_space, monkeypatch):
-        # forty steps of x -> 1e10 x from 1 overflow to inf, and their step
-        # distances to NaN: no warning (an error here) may escape the
-        # speculation, and the block's test finds the divergence at step 3
-        monkeypatch.setattr(solver, "_horizon", lambda *args: 40)
+    def test_speculation_past_an_overflow_is_silent(self, eu_space):
+        # x -> 1e10 x from 1 diverges at step 3, long before it could
+        # overflow: no warning (an error here) may come from a later step
         op = affine([1e10])
         trace, _ = iterate_many(op, eu_space, [[[1.0]]] * 2)
         assert trace.stop_reason == "diverged" and len(trace.points) == 4
@@ -1006,10 +978,9 @@ class TestLoopChecks:
 
     @pytest.mark.parametrize("mode", ["warn", "call", "raise"])
     @pytest.mark.parametrize("condition_in", ["operator", "metric"])
-    def test_floating_point_conditions_show_at_their_steps(self, condition_in, mode, monkeypatch):
+    def test_floating_point_conditions_show_at_their_steps(self, condition_in, mode):
         # each condition shows as a warning, a callback or a FloatingPointError
-        # at its step, as in a run of steps alone, though its step falls
-        # inside a block
+        # at its step, alike in a lone run and in two runs side by side
         box = Box([-2.0], [2.0])
         if condition_in == "operator":
             # x -> x/2 from 1 reaches 1/16 at step 4, where a square of
@@ -1026,54 +997,31 @@ class TestLoopChecks:
             stop = StopRule(residual_tol=5e-324, step_tol=5e-324)
             condition = {"under": mode}
 
-        def outcome():
+        def outcome(call):
             seen = []
             try:
                 with warnings.catch_warnings(record=True) as caught:
                     warnings.simplefilter("always")
                     with np.errstate(call=lambda kind, flag: seen.append(kind), **condition):
-                        trace = iterate(op, space, [1.0], stop)
+                        trace = call()
             except FloatingPointError as err:
                 return None, str(err)
             return trace, seen + [str(w.message) for w in caught]
 
-        trace, seen = outcome()
-        monkeypatch.setattr(solver, "_horizon", lambda *args: 1)
-        alone, seen_alone = outcome()
-        assert seen == seen_alone
+        trace, seen = outcome(lambda: iterate(op, space, [1.0], stop))
+        pair, seen_pair = outcome(lambda: iterate_many(op, space, [[[1.0]]] * 2, stop)[0])
+        assert seen == seen_pair
         if mode == "raise":
-            assert trace is alone is None
+            assert trace is pair is None
         else:
             assert len(seen) == (1 if condition_in == "operator" else 17)
-            _assert_same_trace(trace, alone)
+            _assert_same_trace(trace, pair)
             with np.errstate(all="ignore"):
                 _assert_same_trace(trace, _reference_iterate(op, space, [1.0], stop))
 
-    def test_an_ignored_condition_keeps_its_blocks(self, monkeypatch):
-        # the transient overflow above, under over="ignore", falls inside a
-        # block that goes on past it; with warnings on, the block ends there
-        # and the step of the overflow runs alone
-        ratio = "(1e100/(x1 - 0.0625 + 1e-200))"
-        op = from_dsl(f"x1/2 + 1/(1 + {ratio}*{ratio})", 1)
-        space, stop = euclidean(Box([-2.0], [2.0])), StopRule(residual_tol=1e-14, step_tol=1e-14)
-        calls = {}
-        for mode in ("ignore", "warn"):
-            calls[mode] = []
-            _count_metric_calls(monkeypatch, space, calls[mode])
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                with np.errstate(over=mode):
-                    trace = iterate(op, space, [1.0], stop)
-            monkeypatch.undo()
-            assert len(caught) == (mode == "warn")
-            with np.errstate(over="ignore"):
-                _assert_same_trace(trace, _reference_iterate(op, space, [1.0], stop))
-        assert len(calls["ignore"]) <= math.ceil((len(trace) - 1) / 8) + 3
-        assert len(calls["ignore"]) < len(calls["warn"])
-
-    def test_a_block_keeps_the_callers_error_callback(self, eu_space, monkeypatch):
-        # the kernels of every step, in a block or alone, see the callback
-        # the caller set, never one of the solver's own
+    def test_every_step_keeps_the_callers_error_callback(self, eu_space, monkeypatch):
+        # the kernels of every step see the callback the caller set, never
+        # one of the solver's own
         seen = []
         kernel = operators.KERNELS["affine"]
         monkeypatch.setitem(operators.KERNELS, "affine",
@@ -1124,15 +1072,28 @@ def _count_kernel_calls(monkeypatch, op, space, calls):
 FLOATS = st.floats(-3.0, 3.0) | st.sampled_from([0.0, -0.0, 5e-324, -1e-170, 1e-300])
 
 
-class TestFloatRun:
-    """A lone run of averaging, affine and constant maps, or their
-    diagonals, on euclidean and squared_euclidean spaces of dimension below
-    8 steps on Python floats; its trace is the array loop's bit for bit."""
+# metric kind -> its space on a box; the custom distance is bounded, so it
+# stays finite at an infinite point, which only the point's own check finds
+FLOAT_RUN_METRICS = {
+    "euclidean": euclidean, "squared_euclidean": squared_euclidean,
+    "power": lambda box: power(3, box), "lp_truncated": lambda box: lp_truncated(0.5, box),
+    "custom_dsl": lambda box: custom(
+        "min({}, 4)".format(" + ".join(f"abs(u{i} - v{i})" for i in range(1, box.dimension + 1))),
+        box, b=1)}
+# a term a DSL operator adds to its linear part in x1..xk
+DSL_TERMS = ["", " + 0.1*x1*x1", " - 0.2*abs(x{k})", " + 0.01*exp(x1)", " + 0.1*sqrt(abs(x1))"]
 
-    @settings(max_examples=150)
-    @given(data=st.data(), kind=st.sampled_from(["averaging", "affine", "constant"]),
-           k=st.integers(1, 7), m=st.integers(1, 7), diagonal=st.booleans(),
-           metric=st.sampled_from([euclidean, squared_euclidean]), strict=st.booleans())
+
+class TestFloatRun:
+    """A lone run steps on Python floats, on the float kernels of averaging
+    (k < 8), affine and constant maps or their diagonals and of euclidean
+    and squared_euclidean spaces (m < 8), and on the array kernel of any
+    other kind; its trace is the array loop's bit for bit."""
+
+    @settings(max_examples=200)
+    @given(data=st.data(), kind=st.sampled_from(["averaging", "affine", "constant", "dsl"]),
+           k=st.integers(1, 9), m=st.integers(1, 8), diagonal=st.booleans(),
+           metric=st.sampled_from(sorted(FLOAT_RUN_METRICS)), strict=st.booleans())
     def test_a_lone_run_is_the_array_loops(self, data, kind, k, m, diagonal, metric, strict):
         values = lambda size: st.lists(FLOATS, min_size=size, max_size=size)  # noqa: E731
         if kind == "averaging":
@@ -1141,11 +1102,17 @@ class TestFloatRun:
             weights = data.draw(values(k) | st.lists(st.sampled_from([1e200, -4.0, -0.5, 0.0]),
                                                      min_size=k, max_size=k))
             op = affine(weights, data.draw(values(m)), dimension=m)
-        else:
+        elif kind == "constant":
             op = constant(data.draw(values(m)), k=k)
+        else:
+            linear = lambda: " + ".join(  # noqa: E731
+                f"({w!r})*x{i}" for i, w in enumerate(data.draw(values(k)), 1))
+            op = from_dsl([linear() + f" + ({data.draw(FLOATS)!r})"
+                           + data.draw(st.sampled_from(DSL_TERMS)).format(k=k)
+                           for _ in range(m)], k)
         # a box the run may leave: around 0, or away from the start
         half = data.draw(st.floats(0.0, 3.0))
-        space = metric(Box(np.full(m, -half), np.full(m, half)))
+        space = FLOAT_RUN_METRICS[metric](Box(np.full(m, -half), np.full(m, half)))
         start = np.array(data.draw(values(k * m))).reshape(k, m)
         stop = StopRule(residual_tol=data.draw(st.sampled_from([1e-300, 1e-12, 1e-3])),
                         step_tol=data.draw(st.sampled_from([1e-300, 1e-12, 1e-3])),
@@ -1209,7 +1176,10 @@ class TestFloatRun:
         assert calls == []
 
     @pytest.mark.parametrize("case", ["under=warn", "m=8", "averaging(8)", "power(3)", "dsl"])
-    def test_other_runs_take_the_array_loop(self, case, monkeypatch):
+    def test_a_kind_without_a_float_kernel_runs_its_array_kernel(self, case, monkeypatch):
+        # a lone run calls the array kernel of such a kind once a step on one
+        # row, and once more at each residual; only a non-default underflow
+        # mode hands the run to the array loop
         op, space, seeds = averaging(2), euclidean(Box([-2.0], [2.0])), [1.0, 0.5]
         if case == "m=8":
             op, space = averaging(2, dimension=8), euclidean(Box(np.full(8, -2.0), np.full(8, 2.0)))
@@ -1220,27 +1190,80 @@ class TestFloatRun:
             space = power(3, Box([-2.0], [2.0]))
         elif case == "dsl":
             op = from_dsl("(x1 + x2)/4", 2)
-        calls = []
+        calls, runs = [], []
         _count_kernel_calls(monkeypatch, op, space, calls)
+        float_run = solver._float_run
+        monkeypatch.setattr(solver, "_float_run",
+                            lambda *args: runs.append(float_run(*args)) or runs[-1])
         with np.errstate(under="warn" if case == "under=warn" else "ignore"):
             trace = iterate(op, space, seeds)
-        assert trace.stop_reason == "converged"
-        assert op.kind in calls and space.kind in calls
+        assert trace.stop_reason == "converged" and len(runs) == 1
+        if case == "under=warn":
+            assert runs == [None] and op.kind in calls and space.kind in calls
+        else:
+            _assert_same_trace(runs[0], trace)
+            k, steps = op.arity, len(trace) - op.arity
+            residuals = int(np.count_nonzero(trace.alphas[k - 1:] <= StopRule().step_tol))
+            wrapped = {"m=8": space.kind, "power(3)": space.kind}.get(case, op.kind)
+            assert set(calls) == {wrapped}
+            assert len(calls) == steps + residuals + (k - 1) * (wrapped == space.kind)
         monkeypatch.undo()
         with np.errstate(under="ignore"):
             _assert_same_trace(trace, _reference_iterate(op, space, seeds, StopRule()))
 
+    @pytest.mark.parametrize("start, step_tol", [
+        # the one step 1e200 -> inf; a step from 1 to 1e200 whose residual
+        # 1e200 -> inf is taken, as every step meets step_tol
+        (1e200, 1e-10), (1.0, 1e9)])
+    def test_a_bounded_metric_hides_no_infinite_point(self, start, step_tol):
+        op, space = affine([1e200]), custom("min(abs(u1 - v1), 4)", Box([-2.0], [2.0]), b=1)
+        stop = StopRule(step_tol=step_tol, max_iterations=2)
+        with np.errstate(over="ignore"):
+            got = _outcome(lambda: iterate(op, space, [start], stop))
+            pair = _outcome(lambda: iterate_many(op, space, [[[start]]] * 2, stop))
+        assert got == pair == ("NumericEvalError",
+                               "non-finite operator output at coordinate 0 (window 0)")
 
+    @pytest.mark.parametrize("mode", ["warn", "call", "raise"])
+    @pytest.mark.parametrize("case, outcome", [
+        ("log", ("NumericEvalError", "log of a non-positive value (row 0)")),
+        ("pole", ("converged", 213, 8)),
+        ("sqrt-metric", ("NumericEvalError", "sqrt of a negative value (row 0)")),
+        ("power-overflow", ("NumericEvalError", "non-finite result in power distance alpha_1"))])
+    def test_a_wrapped_kernel_keeps_each_outcome(self, case, outcome, mode):
+        # the traces, errors and floating-point events of lone runs on array
+        # kernels, as the array loop alone gave them
+        box = Box([-2.0], [2.0])
+        op, space, seeds = {
+            "log": (from_dsl("log(x1 + 0.3) - 0.5", 1), euclidean(box), [1.0]),
+            "pole": (from_dsl("1/(x2 - 0.25) + x1/4", 2), euclidean(box), [0.0, 0.5]),
+            "sqrt-metric": (affine([0.5]), custom("sqrt(abs(u1-v1) - 0.01)", box, b=1), [1.0]),
+            "power-overflow": (affine([1e200]), power(3, box), [1.0])}[case]
 
-@pytest.mark.parametrize("prev, last", [
-    (1.0, 0.5), (0.5, 1.0), (1.0, 0.999), (1e-3, 1e-3), (0.0, 1e-3), (1e-3, 1e-12),
-    (2e-10, 1e-10), (1e-5, 1e5), (1.0, 1e-9), (2e-8, 1e-8), (500.0, 1e3)])
-def test_horizon_of_one_run_is_that_of_two_copies(prev, last):
-    # one run takes the Python-float path, more runs the numpy pass
-    alphas, blowup = np.array([[prev, last, np.nan]]), np.array([1e6])
-    one = solver._horizon(alphas, 3, blowup, 1e-10)
-    assert 1 <= one <= BLOCK
-    assert solver._horizon(np.repeat(alphas, 2, axis=0), 3, np.repeat(blowup, 2), 1e-10) == one
+        def run(call):
+            events = []
+            with warnings.catch_warnings(record=True) as caught, np.errstate(
+                    all=mode, under="ignore", call=lambda kind, flag: events.append(kind)):
+                warnings.simplefilter("always")
+                out = _outcome(call)
+            if not isinstance(out, tuple):
+                out = (out.stop_reason, len(out), out.out_of_domain)
+            return out, events + [str(w.message) for w in caught]
+
+        got, events = run(lambda: iterate(op, space, seeds))
+        pair = np.reshape(seeds * 2, (2, -1, 1))
+        assert (got, events) == run(lambda: iterate_many(op, space, pair))
+        if case == "power-overflow":
+            assert events == {"warn": ["overflow encountered in multiply"], "call": ["overflow"],
+                              "raise": []}[mode]
+            if mode == "raise":
+                outcome = ("FloatingPointError", "overflow encountered in multiply")
+        else:
+            assert events == []
+        assert got == outcome
+        if case == "pole":
+            _assert_same_trace(iterate(op, space, seeds),
+                               _reference_iterate(op, space, seeds, StopRule()))
 
 
 class TestStopRule:
@@ -1291,38 +1314,6 @@ class TestSeedValidation:
     def test_space_dimension_mismatch_is_usage_error(self, eu_space):
         with pytest.raises(UsageError):
             iterate(averaging(1, dimension=2), eu_space, [[1.0, 0.5]])
-
-
-@pytest.fixture(params=["one", "block", "random"])
-def forced_horizon(request, monkeypatch):
-    """Every block of the solver's loop one step, BLOCK steps, or a seeded
-    random size in 1..40, up to the cap and the buffers' capacity."""
-    rng = np.random.default_rng(17)
-    size = {"one": lambda: 1, "block": lambda: BLOCK,
-            "random": lambda: int(rng.integers(1, 41))}[request.param]
-    monkeypatch.setattr(solver, "_horizon", lambda *args: size())
-
-
-# The block size cannot change a result: each case of these classes, with
-# its traces, out_of_domain counts, error types and messages, holds under
-# every forced size.
-
-@pytest.mark.usefixtures("forced_horizon")
-class TestReferenceLoopInAnyBlocks(TestReferenceLoop):
-    pass
-
-
-@pytest.mark.usefixtures("forced_horizon")
-class TestIterateManyInAnyBlocks(TestIterateMany):
-    pass
-
-
-@pytest.mark.usefixtures("forced_horizon")
-class TestLoopChecksInAnyBlocks(TestLoopChecks):
-    # these count the calls of predicted blocks, which a forced size replaces
-    test_in_box_steps_call_no_per_step_checks = None
-    test_long_in_box_run_calls_the_metric_once_a_block = None
-    test_an_ignored_condition_keeps_its_blocks = None
 
 
 def _short_trace():

@@ -42,12 +42,18 @@ _ab_spec.loader.exec_module(ab)
 
 def test_ab_reports_each_side_of_two_copies_of_one_tree():
     report = ab.compare(ROOT, ROOT, "solve-multistart", passes=2, seed=3)
-    assert set(report) == {"workload", "seed", "passes", "ops", "A", "B", "B/A"}
+    assert set(report) == {"workload", "seed", "passes", "ops", "A", "B", "B/A", "labels"}
     assert report["ops"] == 225 and report["passes"] == 2
     for side in ("A", "B"):
         assert set(report[side]) == set(ab.METRICS) | {"failed", "errors"}
         assert report[side]["failed"] == 0
     assert set(report["B/A"]) == set(ab.METRICS)
+    # one row per op label, each over both pairs of passes
+    assert len(report["labels"]) == 9 and "divergent 2*x1" in report["labels"]
+    for row in report["labels"].values():
+        assert set(row) == {"median", "iqr", "won", "pairs"}
+        q1, q3 = row["iqr"]
+        assert q1 <= row["median"] <= q3 and 0 <= row["won"] <= row["pairs"] == 2
 
 
 def test_ab_stops_at_outputs_that_differ(tmp_path):

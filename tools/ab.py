@@ -10,8 +10,10 @@ that side's package while they are built. A warm-up pass per side gives
 every op's output key, which must be equal on both sides. Then the sides
 take turns, one whole pass each, alternating which side goes first, and
 the report gives items_per_s, op_ms_p50 and op_ms_p90 per side as
-workloads.end_to_end computes them, with the ratio B/A. Its last line is
-the same report as JSON.
+workloads.end_to_end computes them, with the ratio B/A. Per op label it
+then gives the paired ratios B/A of the label's summed op time, one per
+pair of passes: their median, their quartiles and the pairs in which B
+took less time. Its last line is the same report as JSON.
 
 The tool sees neither interpreter start nor imports, so cli-cold and
 set-up times stay with perfbench/run.py. Both sides share one allocator
@@ -22,6 +24,7 @@ import argparse
 import importlib
 import json
 import shutil
+import statistics
 import sys
 import tempfile
 from pathlib import Path
@@ -50,6 +53,23 @@ def build_ops(workloads, package, workload, seed, tmp):
             del sys.modules["presic_lab"]
         else:
             sys.modules["presic_lab"] = saved
+
+
+def per_label(ops, timed):
+    """label -> the median, quartiles and pairs won of the paired ratios B/A
+    of the label's summed op time, over the pairs of passes in `timed`."""
+    rows = {}
+    for i, op in enumerate(ops):
+        rows.setdefault(op.label, []).append(i)
+    out = {}
+    for label, idx in rows.items():
+        ratios = [sum(b[i][0] for i in idx) / sum(a[i][0] for i in idx)
+                  for a, b in zip(timed["A"], timed["B"])]
+        q1, median, q3 = (statistics.quantiles(ratios, n=4, method="inclusive")
+                          if len(ratios) > 1 else ratios * 3)
+        out[label] = {"median": median, "iqr": [q1, q3], "won": sum(r < 1 for r in ratios),
+                      "pairs": len(ratios)}
+    return out
 
 
 def compare(root_a, root_b, workload, passes, seed):
@@ -83,6 +103,7 @@ def compare(root_a, root_b, workload, passes, seed):
         report[side] = dict(workloads.end_to_end(timed[side]), failed=runs[side].failed,
                             errors=runs[side].errors)
     report["B/A"] = {m: report["B"][m] / report["A"][m] for m in METRICS}
+    report["labels"] = per_label(runs["A"].ops, timed)
     return report
 
 
@@ -102,6 +123,11 @@ def main(argv=None):
     print(f"{'metric':<14}{'A':>14}{'B':>14}{'B/A':>8}")
     for m in METRICS:
         print(f"{m:<14}{report['A'][m]:>14.6g}{report['B'][m]:>14.6g}{report['B/A'][m]:>8.3f}")
+    print(f"{'op label':<28}{'B/A median':>11}{'IQR':>16}{'won':>8}")
+    for label, row in report["labels"].items():
+        q1, q3 = row["iqr"]
+        print(f"{label:<28}{row['median']:>11.3f}   [{q1:.3f}, {q3:.3f}]"
+              f"{row['won']:>5}/{row['pairs']}")
     print(json.dumps(report))
 
 
