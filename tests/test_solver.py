@@ -1316,6 +1316,36 @@ class TestSeedValidation:
             iterate(averaging(1, dimension=2), eu_space, [[1.0, 0.5]])
 
 
+@pytest.fixture(params=["array-loop", "array-operators", "array-metrics"])
+def forced_path(request, monkeypatch):
+    """Every lone run on the array loop; or on the float loop with no float
+    kernel of an operator, or of a metric, so it runs the kind's array one."""
+    if request.param == "array-loop":
+        monkeypatch.setattr(solver, "_float_run", lambda *args: None)
+    else:
+        module = operators if request.param == "array-operators" else bmetric
+        monkeypatch.setattr(module, "FLOAT_KERNELS", {})
+
+
+# The path a lone run takes cannot change a result: each case of these
+# classes, with its traces, out_of_domain counts, error types, messages and
+# floating-point events, holds on every forced path.
+
+@pytest.mark.usefixtures("forced_path")
+class TestReferenceLoopOnEveryPath(TestReferenceLoop):
+    pass
+
+
+@pytest.mark.usefixtures("forced_path")
+class TestIterateManyOnEveryPath(TestIterateMany):
+    pass
+
+
+@pytest.mark.usefixtures("forced_path")
+class TestLoopChecksOnEveryPath(TestLoopChecks):
+    pass
+
+
 def _short_trace():
     return IterationTrace(np.array([[1.0], [0.5]]), np.array([0.25]), "max_iterations")
 
